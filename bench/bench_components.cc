@@ -24,6 +24,7 @@
 #include "html/lexer.h"
 #include "html/tree_builder.h"
 #include "legacy_lexer_baseline.h"
+#include "legacy_recognizer_baseline.h"
 #include "legacy_tree_baseline.h"
 #include "ontology/bundled.h"
 #include "ontology/estimator.h"
@@ -259,17 +260,69 @@ void BM_LexiconFindAll(benchmark::State& state) {
 }
 BENCHMARK(BM_LexiconFindAll);
 
+constexpr Domain kRecognizerDomains[] = {Domain::kObituaries, Domain::kCarAds,
+                                         Domain::kJobAds, Domain::kCourses};
+
+// Plain text of the first test-site listing page of each bundled domain:
+// the region text the recognizer scans in the pipeline.
+const std::string& RecognizerText(Domain domain) {
+  static const std::vector<std::string> texts = [] {
+    std::vector<std::string> out;
+    for (Domain d : kRecognizerDomains) {
+      const std::string html =
+          gen::RenderDocument(gen::TestSites(d)[0], d, 0).html;
+      const TagTree tree = BuildTagTree(html).value();
+      out.push_back(tree.PlainText(tree.root()));
+    }
+    return out;
+  }();
+  return texts[static_cast<size_t>(domain)];
+}
+
+// The one-pass recognizer over each domain (arg = Domain). CI's
+// recognizer ratio guard asserts BM_Recognizer / BM_RecognizerLegacy per
+// domain by bytes_per_second.
 void BM_Recognizer(benchmark::State& state) {
-  auto recognizer =
-      Recognizer::Create(BundledOntology(Domain::kObituaries).value()).value();
-  const std::string text = Tree().PlainText(Tree().root());
+  const Domain domain = static_cast<Domain>(state.range(0));
+  auto recognizer = Recognizer::Create(BundledOntology(domain).value()).value();
+  const std::string& text = RecognizerText(domain);
   for (auto _ : state) {
     benchmark::DoNotOptimize(recognizer.Recognize(text));
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(text.size()));
 }
-BENCHMARK(BM_Recognizer);
+BENCHMARK(BM_Recognizer)->DenseRange(0, 3);
+
+// The frozen per-matcher recognizer (bench/legacy_recognizer_baseline.cc)
+// over the same texts: the ratio guard's baseline.
+void BM_RecognizerLegacy(benchmark::State& state) {
+  const Domain domain = static_cast<Domain>(state.range(0));
+  auto recognizer =
+      bench::LegacyRecognizer::Create(BundledOntology(domain).value()).value();
+  const std::string& text = RecognizerText(domain);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(recognizer.Recognize(text));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(text.size()));
+}
+BENCHMARK(BM_RecognizerLegacy)->DenseRange(0, 3);
+
+// Recognizer::Create for all four bundled ontologies: the compile cost a
+// cold RecognizerCache pays (ontologies parsed once, outside the loop).
+void BM_RecognizerCompile(benchmark::State& state) {
+  std::vector<Ontology> ontologies;
+  for (Domain d : kRecognizerDomains) {
+    ontologies.push_back(BundledOntology(d).value());
+  }
+  for (auto _ : state) {
+    for (const Ontology& ontology : ontologies) {
+      benchmark::DoNotOptimize(Recognizer::Create(ontology));
+    }
+  }
+}
+BENCHMARK(BM_RecognizerCompile);
 
 }  // namespace
 }  // namespace webrbd

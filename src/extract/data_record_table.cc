@@ -10,10 +10,14 @@ namespace webrbd {
 
 DataRecordTable::DataRecordTable(std::vector<DataRecordEntry> entries)
     : entries_(std::move(entries)) {
-  std::stable_sort(entries_.begin(), entries_.end(),
-                   [](const DataRecordEntry& a, const DataRecordEntry& b) {
-                     return a.begin < b.begin;
-                   });
+  auto by_begin = [](const DataRecordEntry& a, const DataRecordEntry& b) {
+    return a.begin < b.begin;
+  };
+  // The recognizer hands over entries already in order; checking is one
+  // pass, where the stable sort would move every entry through a buffer.
+  if (!std::is_sorted(entries_.begin(), entries_.end(), by_begin)) {
+    std::stable_sort(entries_.begin(), entries_.end(), by_begin);
+  }
 }
 
 std::vector<DataRecordEntry> DataRecordTable::ForDescriptor(

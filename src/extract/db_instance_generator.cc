@@ -13,12 +13,20 @@ Result<DatabaseInstanceGenerator> DatabaseInstanceGenerator::Create(
     const Ontology& ontology, InstanceGeneratorOptions options) {
   auto recognizer = Recognizer::Create(ontology);
   if (!recognizer.ok()) return recognizer.status();
-  return DatabaseInstanceGenerator(ontology, std::move(recognizer).value(),
-                                   options);
+  return DatabaseInstanceGenerator(
+      ontology,
+      std::make_shared<const Recognizer>(std::move(recognizer).value()),
+      options);
+}
+
+DatabaseInstanceGenerator DatabaseInstanceGenerator::WithRecognizer(
+    const Ontology& ontology, std::shared_ptr<const Recognizer> recognizer,
+    InstanceGeneratorOptions options) {
+  return DatabaseInstanceGenerator(ontology, std::move(recognizer), options);
 }
 
 DatabaseInstanceGenerator::DatabaseInstanceGenerator(
-    const Ontology& ontology, Recognizer recognizer,
+    const Ontology& ontology, std::shared_ptr<const Recognizer> recognizer,
     InstanceGeneratorOptions options)
     : scheme_(GenerateDatabaseScheme(ontology)),
       recognizer_(std::move(recognizer)),
@@ -114,7 +122,7 @@ std::vector<DataRecordEntry> DatabaseInstanceGenerator::ResolveConstants(
 
 std::vector<std::pair<std::string, std::string>>
 DatabaseInstanceGenerator::FieldsForRecord(std::string_view record_text) const {
-  return FieldsFromTable(recognizer_.Recognize(record_text));
+  return FieldsFromTable(recognizer_->Recognize(record_text));
 }
 
 std::vector<std::pair<std::string, std::string>>

@@ -8,6 +8,7 @@
 #ifndef WEBRBD_EXTRACT_DB_INSTANCE_GENERATOR_H_
 #define WEBRBD_EXTRACT_DB_INSTANCE_GENERATOR_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,12 @@ class DatabaseInstanceGenerator {
   /// Compiles the ontology (recognizer + scheme). Fails on bad patterns.
   [[nodiscard]] static Result<DatabaseInstanceGenerator> Create(
       const Ontology& ontology, InstanceGeneratorOptions options = {});
+
+  /// Builds on an already-compiled recognizer for the same ontology,
+  /// sharing it instead of compiling a second one.
+  static DatabaseInstanceGenerator WithRecognizer(
+      const Ontology& ontology, std::shared_ptr<const Recognizer> recognizer,
+      InstanceGeneratorOptions options = {});
 
   /// Creates a fresh catalog from the scheme and inserts one entity row per
   /// record (plus aux-table rows for many-valued object sets).
@@ -66,10 +73,11 @@ class DatabaseInstanceGenerator {
       const std::vector<std::pair<std::string, std::string>>& fields) const;
 
   const DatabaseScheme& scheme() const { return scheme_; }
-  const Recognizer& recognizer() const { return recognizer_; }
+  const Recognizer& recognizer() const { return *recognizer_; }
 
  private:
-  DatabaseInstanceGenerator(const Ontology& ontology, Recognizer recognizer,
+  DatabaseInstanceGenerator(const Ontology& ontology,
+                            std::shared_ptr<const Recognizer> recognizer,
                             InstanceGeneratorOptions options);
 
   // Resolves constants claimed by multiple object sets (shared value types)
@@ -86,7 +94,7 @@ class DatabaseInstanceGenerator {
 
   std::vector<FieldInfo> fields_;
   DatabaseScheme scheme_;
-  Recognizer recognizer_;
+  std::shared_ptr<const Recognizer> recognizer_;
   InstanceGeneratorOptions options_;
 };
 

@@ -210,10 +210,18 @@ ExtractionContext::ExtractionContext(
       recognizer_(std::move(recognizer)),
       options_(std::move(options)),
       template_salt_(ComputeTemplateSalt(*ontology_, options_)) {
-  // Compile the instance generator ONCE per context instead of once per
-  // document (Create re-compiles every value pattern in the ontology).
-  // On a compile failure the pointer stays null and the per-document
-  // fallback in ExtractDocumentImpl surfaces the same error.
+  // Build the instance generator ONCE per context instead of once per
+  // document. A context that co-owns its recognizer (Create) shares it
+  // with the generator. A borrowed one (FromCompiledRecognizer: no control
+  // block) may be freed by its owner before a generator handed out by
+  // instance_generator() is, so that generator compiles its own; on a
+  // compile failure the pointer stays null and the per-document fallback
+  // in ExtractDocumentImpl surfaces the same error.
+  if (recognizer_.use_count() > 0) {
+    generator_ = std::make_shared<const DatabaseInstanceGenerator>(
+        DatabaseInstanceGenerator::WithRecognizer(*ontology_, recognizer_));
+    return;
+  }
   auto generator = DatabaseInstanceGenerator::Create(*ontology_);
   if (generator.ok()) {
     generator_ = std::make_shared<const DatabaseInstanceGenerator>(

@@ -16,7 +16,8 @@
 
 namespace webrbd {
 
-/// Applies every object set's keyword and value matchers to a text.
+/// Applies every object set's keyword and value matchers to a text, in one
+/// shared pass per the rule set's ScanPlan.
 class Recognizer {
  public:
   /// Compiles the ontology's matching rules; fails on bad patterns.
@@ -25,15 +26,20 @@ class Recognizer {
   /// Scans `plain_text` and returns the position-ordered table of matches.
   /// Overlapping matches from different object sets are all reported (the
   /// Database-Instance Generator resolves conflicts downstream); within one
-  /// matcher, matches never overlap.
+  /// matcher, matches never overlap. Entries with equal begin offsets are
+  /// ordered by object set, then keyword before value pattern before
+  /// lexicon, then matcher slot. Thread-safe on a const Recognizer: all
+  /// scratch belongs to the call.
   DataRecordTable Recognize(std::string_view plain_text) const;
 
   const MatchingRuleSet& rules() const { return rules_; }
 
  private:
-  explicit Recognizer(MatchingRuleSet rules) : rules_(std::move(rules)) {}
+  explicit Recognizer(MatchingRuleSet rules)
+      : rules_(std::move(rules)), plan_(ScanPlan::Build(rules_)) {}
 
   MatchingRuleSet rules_;
+  ScanPlan plan_;  // points into rules_' shared regex programs
 };
 
 }  // namespace webrbd

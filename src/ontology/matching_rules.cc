@@ -2,6 +2,8 @@
 
 #include "ontology/matching_rules.h"
 
+#include <map>
+
 #include "robust/limits.h"
 #include "util/string_util.h"
 
@@ -51,12 +53,22 @@ Result<MatchingRuleSet> MatchingRuleSet::Compile(const Ontology& ontology) {
   // production epsilon-closure backstop.
   ci.closure_budget =
       robust::DocumentLimits::Production().max_regex_closure_depth;
+  // Every pattern compiles with the same options, so equal sources mean
+  // equal programs: compile each once and share it.
+  std::map<std::string, Regex, std::less<>> compiled;
+  auto compile = [&](const std::string& source) -> Result<Regex> {
+    auto it = compiled.find(source);
+    if (it != compiled.end()) return it->second;
+    auto regex = Regex::Compile(source, ci);
+    if (regex.ok()) compiled.emplace(source, *regex);
+    return regex;
+  };
   for (const ObjectSet& object_set : ontology.object_sets()) {
     CompiledObjectSetRule rule;
     rule.object_set = object_set.name;
     rule.cardinality = object_set.cardinality;
     for (const std::string& keyword : object_set.frame.keywords) {
-      auto regex = Regex::Compile(KeywordPhraseToPattern(keyword), ci);
+      auto regex = compile(KeywordPhraseToPattern(keyword));
       if (!regex.ok()) {
         return Status::ParseError("object set " + object_set.name +
                                   ", keyword '" + keyword +
@@ -65,7 +77,7 @@ Result<MatchingRuleSet> MatchingRuleSet::Compile(const Ontology& ontology) {
       rule.keyword_regexes.push_back(std::move(regex).value());
     }
     for (const std::string& pattern : object_set.frame.value_patterns) {
-      auto regex = Regex::Compile(pattern, ci);
+      auto regex = compile(pattern);
       if (!regex.ok()) {
         return Status::ParseError("object set " + object_set.name +
                                   ", pattern '" + pattern +
@@ -77,6 +89,42 @@ Result<MatchingRuleSet> MatchingRuleSet::Compile(const Ontology& ontology) {
     set.rules_.push_back(std::move(rule));
   }
   return set;
+}
+
+ScanPlan ScanPlan::Build(const MatchingRuleSet& rules) {
+  ScanPlan plan;
+  // A program shared by several slots is one matcher with several owners.
+  std::map<const RegexProgram*, size_t> matcher_of;
+  auto own = [&](const Regex& regex, Owner owner) {
+    const RegexProgram* program = &regex.program();
+    auto [it, added] = matcher_of.emplace(program, plan.matchers_.size());
+    if (added) plan.matchers_.push_back(Matcher{program, {}, false});
+    plan.matchers_[it->second].owners.push_back(owner);
+  };
+  std::vector<const Lexicon*> lexicons;
+  const auto& all = rules.rules();
+  for (uint32_t set = 0; set < all.size(); ++set) {
+    for (uint32_t slot = 0; slot < all[set].keyword_regexes.size(); ++slot) {
+      own(all[set].keyword_regexes[slot],
+          Owner{set, MatchKind::kKeyword, slot});
+    }
+    for (uint32_t slot = 0; slot < all[set].value_regexes.size(); ++slot) {
+      own(all[set].value_regexes[slot],
+          Owner{set, MatchKind::kConstant, slot});
+    }
+    lexicons.push_back(&all[set].value_lexicon);
+  }
+
+  std::vector<MultiLiteralMatcher::Literal> literals;
+  for (uint32_t m = 0; m < plan.matchers_.size(); ++m) {
+    for (std::string& prefix : LiteralPrefixes(*plan.matchers_[m].program)) {
+      literals.push_back(MultiLiteralMatcher::Literal{std::move(prefix), m});
+      plan.matchers_[m].prefiltered = true;
+    }
+  }
+  if (!literals.empty()) plan.literals_ = MultiLiteralMatcher(literals);
+  plan.lexicons_ = LexiconSet(lexicons);
+  return plan;
 }
 
 const CompiledObjectSetRule* MatchingRuleSet::Find(

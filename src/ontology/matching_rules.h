@@ -6,11 +6,13 @@
 #ifndef WEBRBD_ONTOLOGY_MATCHING_RULES_H_
 #define WEBRBD_ONTOLOGY_MATCHING_RULES_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "ontology/model.h"
 #include "text/lexicon.h"
+#include "text/multi_literal.h"
 #include "text/regex.h"
 #include "util/result.h"
 
@@ -42,7 +44,9 @@ struct CompiledObjectSetRule {
 class MatchingRuleSet {
  public:
   /// Compiles every data frame; fails on an invalid value pattern, naming
-  /// the offending object set.
+  /// the offending object set. A regex source that occurs more than once
+  /// (the same date pattern on three object sets, say) is compiled once:
+  /// the rules holding it share one program.
   [[nodiscard]] static Result<MatchingRuleSet> Compile(const Ontology& ontology);
 
   const std::vector<CompiledObjectSetRule>& rules() const { return rules_; }
@@ -52,6 +56,48 @@ class MatchingRuleSet {
 
  private:
   std::vector<CompiledObjectSetRule> rules_;
+};
+
+/// How one Recognize call covers every matcher of a rule set in one shared
+/// pass over the text instead of one pass per matcher:
+///  - each distinct regex program is one Matcher, scanned once, whose
+///    matches go to every (object set, kind, slot) that owns it;
+///  - every matcher with a literal prefix set (LiteralPrefixes) has those
+///    literals in one multi-literal automaton tagged with the matcher's
+///    index, so the VM runs only where a prefix occurs; the rest scan with
+///    the start-byte-skipping VM;
+///  - every object set's lexicon matches over one shared tokenization.
+class ScanPlan {
+ public:
+  /// One slot that receives a matcher's matches.
+  struct Owner {
+    uint32_t object_set;  ///< index into MatchingRuleSet::rules()
+    MatchKind kind;       ///< kKeyword or kConstant
+    uint32_t slot;        ///< index in keyword_regexes / value_regexes
+  };
+
+  /// One distinct regex program and its owners, in rule order.
+  struct Matcher {
+    const RegexProgram* program = nullptr;  ///< owned by the rule set
+    std::vector<Owner> owners;
+    bool prefiltered = false;  ///< has literals in literals()
+  };
+
+  /// Builds the plan for `rules`, which must outlive it.
+  static ScanPlan Build(const MatchingRuleSet& rules);
+
+  const std::vector<Matcher>& matchers() const { return matchers_; }
+
+  /// Literal prefixes of the prefiltered matchers, tagged by matcher index.
+  const MultiLiteralMatcher& literals() const { return literals_; }
+
+  /// Lexicon i is rules()[i].value_lexicon.
+  const LexiconSet& lexicons() const { return lexicons_; }
+
+ private:
+  std::vector<Matcher> matchers_;
+  MultiLiteralMatcher literals_;
+  LexiconSet lexicons_;
 };
 
 /// Turns a keyword phrase into a word-bounded, whitespace-flexible,

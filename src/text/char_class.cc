@@ -3,8 +3,25 @@
 #include "text/char_class.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace webrbd {
+
+void ByteSet::SetRange(unsigned char lo, unsigned char hi) {
+  for (int word = lo >> 6; word <= hi >> 6; ++word) {
+    const int first = std::max(int{lo}, word * 64) - word * 64;
+    const int last = std::min(int{hi}, word * 64 + 63) - word * 64;
+    const uint64_t upto_last =
+        last == 63 ? ~uint64_t{0} : (uint64_t{1} << (last + 1)) - 1;
+    words_[word] |= upto_last & ~((uint64_t{1} << first) - 1);
+  }
+}
+
+int ByteSet::Count() const {
+  int count = 0;
+  for (uint64_t word : words_) count += std::popcount(word);
+  return count;
+}
 
 CharClass CharClass::Single(unsigned char c) { return Range(c, c); }
 
@@ -97,6 +114,19 @@ bool CharClass::Matches(unsigned char c) const {
   if (it == ranges_.begin()) return false;
   --it;
   return c >= it->first && c <= it->second;
+}
+
+int ByteSet::First() const {
+  for (int i = 0; i < 4; ++i) {
+    if (words_[i] != 0) return i * 64 + std::countr_zero(words_[i]);
+  }
+  return -1;
+}
+
+ByteSet CharClass::ToByteSet() const {
+  ByteSet set;
+  for (const auto& [lo, hi] : ranges_) set.SetRange(lo, hi);
+  return set;
 }
 
 void CharClass::Normalize() {

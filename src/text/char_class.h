@@ -10,6 +10,38 @@
 
 namespace webrbd {
 
+/// A 256-bit byte-membership bitmap: the constant-time form of a CharClass
+/// the regex VM tests bytes against.
+class ByteSet {
+ public:
+  bool Test(unsigned char c) const { return (words_[c >> 6] >> (c & 63)) & 1; }
+
+  /// Sets every byte in the inclusive range [lo, hi], a word at a time.
+  void SetRange(unsigned char lo, unsigned char hi);
+
+  /// Adds every byte of `other`.
+  void Merge(const ByteSet& other) {
+    for (int i = 0; i < 4; ++i) words_[i] |= other.words_[i];
+  }
+
+  /// True iff every byte of this set is in `other`.
+  bool SubsetOf(const ByteSet& other) const {
+    for (int i = 0; i < 4; ++i) {
+      if ((words_[i] & ~other.words_[i]) != 0) return false;
+    }
+    return true;
+  }
+
+  /// Number of bytes in the set.
+  int Count() const;
+
+  /// The smallest byte in the set, or -1 when it is empty.
+  int First() const;
+
+ private:
+  uint64_t words_[4] = {0, 0, 0, 0};
+};
+
 /// A set of byte values, represented as sorted disjoint inclusive ranges.
 /// Used both by the regex engine ([a-z], \d, ...) and by literal characters
 /// (a single one-byte range).
@@ -44,6 +76,9 @@ class CharClass {
 
   /// Membership test.
   bool Matches(unsigned char c) const;
+
+  /// The same set as a bitmap, built from the ranges.
+  ByteSet ToByteSet() const;
 
   /// True iff the set is empty.
   bool empty() const { return ranges_.empty(); }

@@ -31,25 +31,13 @@ std::optional<RegexMatch> Regex::Find(std::string_view text,
 
 std::vector<RegexMatch> Regex::FindAll(std::string_view text) const {
   std::vector<RegexMatch> matches;
-  size_t pos = 0;
-  while (pos <= text.size()) {
-    std::optional<RegexMatch> m = VmFind(*program_, text, pos);
-    if (!m.has_value()) break;
-    matches.push_back(*m);
-    pos = m->end > m->begin ? m->end : m->begin + 1;
-  }
+  ForEachMatch(text, [&matches](const RegexMatch& m) { matches.push_back(m); });
   return matches;
 }
 
 size_t Regex::CountMatches(std::string_view text) const {
   size_t count = 0;
-  size_t pos = 0;
-  while (pos <= text.size()) {
-    std::optional<RegexMatch> m = VmFind(*program_, text, pos);
-    if (!m.has_value()) break;
-    ++count;
-    pos = m->end > m->begin ? m->end : m->begin + 1;
-  }
+  ForEachMatch(text, [&count](const RegexMatch&) { ++count; });
   return count;
 }
 

@@ -52,6 +52,20 @@ class Regex {
   /// only in allocation, same time complexity.
   size_t CountMatches(std::string_view text) const;
 
+  /// Calls `on_match(const RegexMatch&)` for each FindAll match, in order,
+  /// running one reused VM across the whole scan.
+  template <typename OnMatch>
+  void ForEachMatch(std::string_view text, OnMatch&& on_match) const {
+    PikeVm vm(*program_);
+    size_t pos = 0;
+    while (pos <= text.size()) {
+      std::optional<RegexMatch> m = vm.Find(text, pos);
+      if (!m.has_value()) break;
+      on_match(*m);
+      pos = m->end > m->begin ? m->end : m->begin + 1;
+    }
+  }
+
   /// Compiled program (exposed for tests and diagnostics).
   const RegexProgram& program() const { return *program_; }
 

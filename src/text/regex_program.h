@@ -7,6 +7,7 @@
 #define WEBRBD_TEXT_REGEX_PROGRAM_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,37 @@ struct RegexProgram {
   std::vector<RegexInst> insts;
   std::vector<CharClass> classes;
 
+  /// classes[i] as a 256-bit bitmap: the VM's constant-time byte test.
+  std::vector<ByteSet> class_bits;
+
+  /// The bytes that can begin a non-empty match, looking through leading
+  /// assertions; nullopt when the program can match the empty string. The
+  /// VM seeds no thread at a byte outside this set and, while no thread is
+  /// alive, jumps straight to the next byte in it.
+  std::optional<ByteSet> start_bytes;
+
+  /// True when every match begins with a word byte behind a \b assertion,
+  /// so no match begins right after a word byte: the VM seeds only at word
+  /// starts. Set only together with start_bytes.
+  bool starts_at_word_start = false;
+
+  /// A precomputed epsilon closure: closure_targets[begin, end) are the
+  /// kClass / kMatch instructions it reaches with every assertion taken as
+  /// satisfiable, in the VM's priority order.
+  struct Closure {
+    static constexpr uint32_t kNone = UINT32_MAX;
+    uint32_t begin = kNone;  ///< kNone: not precomputed; walk it
+    uint32_t end = 0;
+    bool has_assert = false;  ///< passes an assertion on some path
+  };
+
+  /// closures[pc] for every pc a thread is added at (0, and each kClass
+  /// successor) whose closure is small. The VM adds a thread whose closure
+  /// holds no assertion by copying its targets instead of walking jumps
+  /// and splits; the start-set and literal-prefix analyses read them all.
+  std::vector<Closure> closures;
+  std::vector<int> closure_targets;
+
   /// True when the pattern can only match starting at text begin (leading ^),
   /// which lets the VM skip the scan loop.
   bool anchored_at_start = false;
@@ -52,6 +84,17 @@ struct RegexProgram {
   /// Human-readable disassembly for debugging and tests.
   std::string ToString() const;
 };
+
+/// A case-folded literal prefix set of `program`: distinct lowercase
+/// strings of one common length, sorted, such that every match of the
+/// program begins (ASCII case-insensitively) with one of them. The length
+/// is that of the shortest run of literal bytes any path from the start
+/// begins with, at most 8. Empty when the program has none: a match can
+/// begin with a non-literal class such as [0-9] or be empty, or the set
+/// would exceed 32 literals. A single-byte class counts as literal when it
+/// holds one byte or one ASCII letter in both cases; assertions are looked
+/// through (the VM still checks them).
+std::vector<std::string> LiteralPrefixes(const RegexProgram& program);
 
 }  // namespace webrbd
 

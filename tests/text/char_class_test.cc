@@ -155,5 +155,43 @@ TEST(CharClassTest, ToStringReadable) {
   EXPECT_EQ(single.ToString(), "[q]");
 }
 
+// The VM's bitmap form must hold exactly the bytes the range form does,
+// including ranges that start or end on a 64-byte word edge.
+TEST(CharClassTest, ByteSetAgreesWithRanges) {
+  std::vector<CharClass> classes = {CharClass(),
+                                    CharClass::AnyByte(),
+                                    CharClass::AnyExceptNewline(),
+                                    CharClass::Digits(),
+                                    CharClass::WordChars(),
+                                    CharClass::Whitespace(),
+                                    CharClass::Range(63, 64),
+                                    CharClass::Range(0, 63),
+                                    CharClass::Range(64, 191),
+                                    CharClass::Range(200, 255),
+                                    CharClass::Single(0),
+                                    CharClass::Single(255)};
+  CharClass negated = CharClass::WordChars();
+  negated.Negate();
+  classes.push_back(negated);
+  for (const CharClass& cc : classes) {
+    SCOPED_TRACE(cc.ToString());
+    const ByteSet set = cc.ToByteSet();
+    const std::vector<bool> expected = Materialize(cc);
+    int count = 0;
+    int first = -1;
+    for (int c = 0; c < 256; ++c) {
+      EXPECT_EQ(set.Test(static_cast<unsigned char>(c)),
+                expected[static_cast<size_t>(c)])
+          << c;
+      if (expected[static_cast<size_t>(c)]) {
+        ++count;
+        if (first < 0) first = c;
+      }
+    }
+    EXPECT_EQ(set.Count(), count);
+    EXPECT_EQ(set.First(), first);
+  }
+}
+
 }  // namespace
 }  // namespace webrbd

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace webrbd {
 namespace {
 
@@ -106,6 +109,102 @@ TEST(LexiconTest, MatchSpansAreAccurate) {
   ASSERT_EQ(matches.size(), 1u);
   EXPECT_EQ(text.substr(matches[0].begin, matches[0].end - matches[0].begin),
             "Grand Am");
+}
+
+// Add inserts in place: whatever the insertion order, every bucket stays
+// longest-phrase-first, so the longest entry at a position wins.
+TEST(LexiconTest, PhraseOrderIndependentOfInsertionOrder) {
+  const std::vector<std::vector<std::string>> orders = {
+      {"salt", "salt lake", "salt lake city"},
+      {"salt lake city", "salt lake", "salt"},
+      {"salt lake", "salt", "salt lake city"},
+      {"salt lake", "salt lake city", "salt"},
+  };
+  for (const auto& order : orders) {
+    Lexicon lexicon(order);
+    EXPECT_EQ(lexicon.size(), 3u);
+    auto matches = lexicon.FindAll("salt lake city; salt lake; salt");
+    ASSERT_EQ(matches.size(), 3u);
+    EXPECT_EQ(matches[0].entry, "salt lake city");
+    EXPECT_EQ(matches[1].entry, "salt lake");
+    EXPECT_EQ(matches[2].entry, "salt");
+    std::vector<size_t> lengths;
+    lexicon.ForEachPhrase([&](const std::vector<std::string>& words) {
+      lengths.push_back(words.size());
+    });
+    EXPECT_EQ(lengths, (std::vector<size_t>{3, 2, 1}));
+  }
+}
+
+TEST(LexiconTest, DuplicatePhrasesRejectedInAnyForm) {
+  Lexicon lexicon;
+  lexicon.Add("Salt Lake City");
+  lexicon.Add("salt   lake city");
+  lexicon.Add("SALT LAKE\tCITY");
+  lexicon.Add("salt lake");
+  lexicon.Add("Salt  Lake");
+  EXPECT_EQ(lexicon.size(), 2u);
+  size_t phrases = 0;
+  lexicon.ForEachPhrase([&](const std::vector<std::string>&) { ++phrases; });
+  EXPECT_EQ(phrases, 2u);
+}
+
+TEST(LexiconTest, CountMatchesEqualsFindAllSize) {
+  Lexicon lexicon({"Ford", "Grand Am", "Grand", "F-150", "O'Brien", "c++"});
+  for (const char* text :
+       {"", "ford", "Grand Am grand am Grand", "grand grand am am",
+        "F-150 f-150s O'Brien o'brien's C++ c++", "no hits here at all",
+        "Ford,Ford;FORD.ford grand\nam"}) {
+    SCOPED_TRACE(text);
+    EXPECT_EQ(lexicon.CountMatches(text), lexicon.FindAll(text).size());
+  }
+}
+
+TEST(LexiconWordsTest, TokenizesLowercasedWordRuns) {
+  LexiconWords words;
+  words.Tokenize("The F-150, O'Brien's C++ & TCP/IP #1!");
+  std::vector<std::string> lower;
+  for (size_t i = 0; i < words.size(); ++i) {
+    lower.emplace_back(words.lower(i));
+  }
+  EXPECT_EQ(lower, (std::vector<std::string>{"the", "f-150", "o'brien's",
+                                             "c++", "tcp/ip", "#1"}));
+  EXPECT_EQ(words.begin(1), 4u);
+  EXPECT_EQ(words.end(1), 9u);
+  words.Tokenize("again");  // buffers are reused
+  ASSERT_EQ(words.size(), 1u);
+  EXPECT_EQ(words.lower(0), "again");
+}
+
+// One shared tokenization matches each lexicon exactly as its own FindAll.
+TEST(LexiconSetTest, SharedPassEqualsPerLexiconFindAll) {
+  const Lexicon makes({"Ford", "Honda", "Grand"});
+  const Lexicon models({"Grand Am", "Accord", "F-150", "Civic"});
+  const Lexicon empty;
+  const Lexicon places({"salt lake city", "salt", "grand junction"});
+  const LexiconSet set({&makes, &models, &empty, &places});
+  ASSERT_EQ(set.size(), 4u);
+  const std::string text =
+      "Ford F-150 in Salt Lake City; Honda Accord, grand am, Grand Junction "
+      "salt lake GRAND civic";
+  LexiconWords words;
+  words.Tokenize(text);
+  std::vector<uint32_t> ids;
+  set.Lookup(words, &ids);
+  const Lexicon* lexicons[] = {&makes, &models, &empty, &places};
+  for (size_t l = 0; l < 4; ++l) {
+    SCOPED_TRACE(l);
+    std::vector<std::pair<size_t, size_t>> shared;
+    set.ForEachMatch(l, ids, [&](size_t first, size_t count) {
+      shared.emplace_back(words.begin(first), words.end(first + count - 1));
+    });
+    std::vector<std::pair<size_t, size_t>> own;
+    for (const LexiconMatch& match : lexicons[l]->FindAll(text)) {
+      own.emplace_back(match.begin, match.end);
+    }
+    EXPECT_EQ(shared, own);
+  }
+  EXPECT_TRUE(LexiconSet({&empty}).empty());
 }
 
 }  // namespace

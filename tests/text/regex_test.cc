@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
+#include <vector>
+
+#include "obs/stages.h"
 
 namespace webrbd {
 namespace {
@@ -254,6 +258,159 @@ TEST(RegexTest, CopyableAndShared) {
   Regex b = a;  // shallow copy shares the program
   EXPECT_TRUE(b.PartialMatch("xx"));
   EXPECT_TRUE(a.PartialMatch("x"));
+}
+
+// --- Prefilter edge cases: start-byte sets and literal prefixes ----------
+
+// The start-byte set as a sorted byte list, or nullopt when there is none.
+std::optional<std::vector<int>> StartBytes(const Regex& regex) {
+  const auto& set = regex.program().start_bytes;
+  if (!set.has_value()) return std::nullopt;
+  std::vector<int> bytes;
+  for (int c = 0; c < 256; ++c) {
+    if (set->Test(static_cast<unsigned char>(c))) bytes.push_back(c);
+  }
+  return bytes;
+}
+
+TEST(RegexPrefilterTest, EmptyMatchableProgramsGetNoStartSet) {
+  for (const char* pattern : {"a*", "x?", "\\b", "(a|)", "^", "(ab)*c?", ""}) {
+    SCOPED_TRACE(pattern);
+    EXPECT_FALSE(MustCompile(pattern).program().start_bytes.has_value());
+    EXPECT_TRUE(LiteralPrefixes(MustCompile(pattern).program()).empty());
+  }
+}
+
+TEST(RegexPrefilterTest, StartSetLooksThroughLeadingAssertions) {
+  using Bytes = std::vector<int>;
+  EXPECT_EQ(StartBytes(MustCompile("\\bdied")), Bytes({'d'}));
+  EXPECT_EQ(StartBytes(MustCompile("\\Bx+")), Bytes({'x'}));
+  EXPECT_EQ(StartBytes(MustCompile("^ab|^c")), Bytes({'a', 'c'}));
+  EXPECT_EQ(StartBytes(MustCompile("$a")), Bytes({'a'}));
+  EXPECT_EQ(StartBytes(MustCompile("a*b")), Bytes({'a', 'b'}));
+
+  // A leading \b before word bytes also skips positions inside words.
+  EXPECT_TRUE(MustCompile("\\b[a-z]{2}").program().starts_at_word_start);
+  EXPECT_TRUE(MustCompile("(\\bab|\\b[0-9])").program().starts_at_word_start);
+  EXPECT_FALSE(MustCompile("\\bab|cab").program().starts_at_word_start);
+  EXPECT_FALSE(MustCompile("\\Bab").program().starts_at_word_start);
+  EXPECT_FALSE(MustCompile("\\b\\.x").program().starts_at_word_start);
+  EXPECT_EQ(MustCompile("\\b[a-z]{2}").FindAll("abc de fgh").size(), 3u);
+  EXPECT_EQ(MustCompile("\\bab|cab").FindAll("ab cab xcab").size(), 3u);
+
+  // The skipped positions never change what matches.
+  EXPECT_EQ(MustCompile("\\Bx+").FindAll("x ax bxx").size(), 2u);
+  EXPECT_EQ(MustCompile("\\bdied").FindAll("died studied died").size(), 2u);
+  EXPECT_EQ(MustCompile("^ab|^c").FindAll("c ab").size(), 1u);
+  EXPECT_TRUE(MustCompile("$a").FindAll("aaa").empty());
+}
+
+TEST(RegexPrefilterTest, CaseInsensitiveStartSetsFoldLetters) {
+  using Bytes = std::vector<int>;
+  EXPECT_EQ(StartBytes(MustCompile("abc", true)), Bytes({'A', 'a'}));
+  EXPECT_EQ(StartBytes(MustCompile("[a-c]x", true)),
+            Bytes({'A', 'B', 'C', 'a', 'b', 'c'}));
+  EXPECT_EQ(StartBytes(MustCompile("\\$[0-9]", true)), Bytes({'$'}));
+  EXPECT_EQ(MustCompile("\\bdied\\b", true).FindAll("DIED Died died").size(),
+            3u);
+}
+
+TEST(RegexPrefilterTest, HighBytesInStartSetsAndLiterals) {
+  const Regex utf8 = MustCompile("\xc3\xa9t\xc3\xa9");  // "été"
+  EXPECT_EQ(StartBytes(utf8), std::vector<int>({0xc3}));
+  EXPECT_EQ(LiteralPrefixes(utf8.program()),
+            std::vector<std::string>({"\xc3\xa9t\xc3\xa9"}));
+  const std::string text = "un \xc3\xa9t\xc3\xa9 chaud, l'\xc3\xa9t\xc3\xa9";
+  const std::vector<RegexMatch> matches = utf8.FindAll(text);
+  ASSERT_EQ(matches.size(), 2u);
+  EXPECT_EQ(matches[0], (RegexMatch{3, 8}));
+  // A negated class reaches the high half of the byte range.
+  const auto negated = StartBytes(MustCompile("[^a-z]"));
+  ASSERT_TRUE(negated.has_value());
+  EXPECT_EQ(negated->back(), 0xff);
+  EXPECT_EQ(MustCompile("[^a-z]+").FindAll("ab\xff\x80" "cd").size(), 1u);
+}
+
+TEST(RegexPrefilterTest, LiteralPrefixSets) {
+  using Literals = std::vector<std::string>;
+  RegexOptions ci;
+  ci.case_insensitive = true;
+  auto prefixes = [&](std::string_view pattern) {
+    return LiteralPrefixes(Regex::Compile(pattern, ci)->program());
+  };
+  EXPECT_EQ(prefixes("\\bdied\\s+on\\b"), Literals({"died"}));
+  EXPECT_EQ(prefixes("\\bRoom [0-9]{3}\\b"), Literals({"room "}));
+  EXPECT_EQ(prefixes("\\$[0-9][0-9,]*"), Literals({"$"}));
+  // Cut at the shortest literal run any branch has: "May " stops at 4.
+  EXPECT_EQ(prefixes("(January|May) [0-9]"), Literals({"janu", "may "}));
+  // Cut at the maximum length.
+  EXPECT_EQ(prefixes("\\bservices\\s+will\\b"), Literals({"services"}));
+  // A match can begin with a non-literal class: no set.
+  EXPECT_TRUE(prefixes("[0-9]{3}-[0-9]{4}").empty());
+  EXPECT_TRUE(prefixes("[A-Z][a-z]+").empty());
+  // Too many literals: no set.
+  EXPECT_EQ(prefixes("(a|b|c|d)(e|f|g|h)(i|j)").size(), 32u);
+  EXPECT_TRUE(prefixes("(a|b|c|d)(e|f|g|h)(i|j|k)").empty());
+}
+
+TEST(RegexPrefilterTest, FindAllWithEmptyMatchesAdvancesOneByte) {
+  const std::vector<RegexMatch> boundaries =
+      MustCompile("\\b").FindAll("ab cd");
+  const std::vector<RegexMatch> expected = {{0, 0}, {2, 2}, {3, 3}, {5, 5}};
+  EXPECT_EQ(boundaries, expected);
+  const std::vector<RegexMatch> stars = MustCompile("x*").FindAll("axxb");
+  const std::vector<RegexMatch> expected_stars = {{0, 0}, {1, 3}, {3, 3},
+                                                  {4, 4}};
+  EXPECT_EQ(stars, expected_stars);
+  EXPECT_EQ(MustCompile("x*").CountMatches("axxb"), 4u);
+}
+
+TEST(RegexPrefilterTest, MatchAtAgreesWithFindAtEveryPosition) {
+  const std::string text =
+      "Died on May 1, 1998; age 80. x died  on\n$4,500 aab ab b \xc3\xa9";
+  for (const char* pattern :
+       {"\\bdied\\s+on\\b", "(January|May) [0-9]{1,2}", "\\$[0-9][0-9,]*",
+        "a*b", "\\bage [0-9]{1,3}\\b", "x*", "\\b", "[^a-z ]+", "o|on"}) {
+    SCOPED_TRACE(pattern);
+    const Regex regex = MustCompile(pattern, true);
+    for (size_t pos = 0; pos <= text.size(); ++pos) {
+      SCOPED_TRACE(pos);
+      // Find from pos is MatchAt at the first position that has a match.
+      std::optional<RegexMatch> first;
+      for (size_t q = pos; q <= text.size() && !first.has_value(); ++q) {
+        first = VmMatchAt(regex.program(), text, q);
+      }
+      EXPECT_EQ(regex.Find(text, pos), first);
+      const std::optional<RegexMatch> at =
+          VmMatchAt(regex.program(), text, pos);
+      if (at.has_value()) {
+        EXPECT_EQ(at->begin, pos);
+      }
+    }
+    EXPECT_FALSE(VmMatchAt(regex.program(), text, text.size() + 1).has_value());
+  }
+}
+
+TEST(RegexPrefilterTest, FindAtStartsEqualsFindWhenStartsCoverEveryMatch) {
+  const std::string text = "died on, Died  ON; studied on; died\ton x";
+  const Regex regex = MustCompile("\\bdied\\s+on\\b", true);
+  // Every "died" occurrence, as a literal prefilter reports them.
+  const std::vector<size_t> starts = {0, 9, 22, 31};
+  PikeVm vm(regex.program());
+  for (size_t from = 0; from <= text.size(); ++from) {
+    SCOPED_TRACE(from);
+    EXPECT_EQ(vm.FindAtStarts(text, from, starts), regex.Find(text, from));
+  }
+}
+
+TEST(RegexPrefilterTest, ClosureBudgetTripStillCounts) {
+  RegexOptions options;
+  options.closure_budget = 2;  // smaller than the alternation's closure
+  auto regex = Regex::Compile("(ab|ac|ad|ae)x", options);
+  ASSERT_TRUE(regex.ok());
+  const uint64_t before = obs::Robust().trip_regex_closure->count();
+  regex->FindAll("zz ae aex");
+  EXPECT_GT(obs::Robust().trip_regex_closure->count(), before);
 }
 
 }  // namespace

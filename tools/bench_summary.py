@@ -8,6 +8,10 @@ the headline MB/s numbers the README and CI artifacts track:
 
     lexer / lexer_legacy       BM_Lexer vs the frozen pre-SWAR baseline
     tree_build / tree_legacy   BM_TagTreeBuild vs the frozen pre-arena one
+    recognizer / _legacy       BM_Recognizer/<domain> vs the frozen
+                               per-matcher recognizer: MB/s over the four
+                               bundled domains' texts together, the
+                               speedup, and the speedup per domain
     batch_pipeline             best BM_BatchPipeline/<threads>/<docs> run
     template_skew              BM_BatchPipelineTemplateSkew cache-on vs
                                cache-off: hit rate and memoization speedup
@@ -97,6 +101,26 @@ def main():
             summary[fast_key + "_speedup"] = round(
                 runs[fast_name]["bytes_per_second"]
                 / runs[legacy_name]["bytes_per_second"], 2)
+
+    # Recognizer section: BM_Recognizer/<d> and BM_RecognizerLegacy/<d>
+    # scan the same four texts (d = obituaries, car ads, job ads,
+    # courses). MB/s is over all four texts, each scanned once: total
+    # bytes over total time.
+    domains = ["obituaries", "car_ads", "job_ads", "courses"]
+    for key, prefix in [("recognizer", "BM_Recognizer/"),
+                        ("recognizer_legacy", "BM_RecognizerLegacy/")]:
+        texts = [runs.get(f"{prefix}{d}") for d in range(len(domains))]
+        if all(texts):
+            seconds = sum(real_seconds(b) for b in texts)
+            total = sum(b["bytes_per_second"] * real_seconds(b) for b in texts)
+            summary[key + "_mb_s"] = round(total / seconds / 1e6, 1)
+    if "recognizer_mb_s" in summary and "recognizer_legacy_mb_s" in summary:
+        summary["recognizer_speedup"] = round(
+            summary["recognizer_mb_s"] / summary["recognizer_legacy_mb_s"], 2)
+        for d, domain in enumerate(domains):
+            summary[f"recognizer_speedup_{domain}"] = round(
+                runs[f"BM_Recognizer/{d}"]["bytes_per_second"]
+                / runs[f"BM_RecognizerLegacy/{d}"]["bytes_per_second"], 2)
 
     batch = [b for name, b in runs.items()
              if name.startswith("BM_BatchPipeline/")]
