@@ -365,8 +365,9 @@ class ExtractionContext {
   ContextOptions options_;
   uint64_t template_salt_ = 0;
 
-  /// Instance generator compiled once at construction and shared by every
-  /// document (it is immutable after Create). Null only when the
+  /// Instance generator built once at construction (on the context's own
+  /// recognizer when the context co-owns it) and shared by every document
+  /// (it is immutable after Create). Null only when the
   /// ontology's patterns fail to compile — ExtractDocumentImpl then
   /// reproduces the compile error per document.
   std::shared_ptr<const DatabaseInstanceGenerator> generator_;
