@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace webrbd {
 namespace {
 
@@ -87,9 +89,16 @@ TEST(OntologyParserTest, RoundTripsThroughDsl) {
 }
 
 struct ErrorCase {
+  const char* name;
   const char* dsl;
   const char* expect_substring;
 };
+
+// Prints the case name, so test names are stable across runs instead of
+// carrying the (address-dependent) bytes of the two string pointers.
+void PrintTo(const ErrorCase& error_case, std::ostream* os) {
+  *os << error_case.name;
+}
 
 class OntologyParserErrorTest : public ::testing::TestWithParam<ErrorCase> {};
 
@@ -106,27 +115,38 @@ TEST_P(OntologyParserErrorTest, ReportsParseError) {
 INSTANTIATE_TEST_SUITE_P(
     Errors, OntologyParserErrorTest,
     ::testing::Values(
-        ErrorCase{"entity E\nobjectset A\nkeyword k\nend\nontology late\n"
+        ErrorCase{"DuplicateOntology",
+                  "entity E\nobjectset A\nkeyword k\nend\nontology late\n"
                   "ontology again\n",
                   "duplicate 'ontology'"},
-        ErrorCase{"ontology X\nentity A\nentity B\nobjectset O\nkeyword k\n"
+        ErrorCase{"DuplicateEntity",
+                  "ontology X\nentity A\nentity B\nobjectset O\nkeyword k\n"
                   "end\n",
                   "duplicate 'entity'"},
-        ErrorCase{"ontology X\nentity E\nobjectset\n", "needs a name"},
-        ErrorCase{"ontology X\nentity E\nobjectset A\nobjectset B\n",
+        ErrorCase{"UnnamedObjectSet",
+                  "ontology X\nentity E\nobjectset\n", "needs a name"},
+        ErrorCase{"MissingEnd",
+                  "ontology X\nentity E\nobjectset A\nobjectset B\n",
                   "missing 'end'"},
-        ErrorCase{"ontology X\nentity E\nend\n", "'end' outside objectset"},
-        ErrorCase{"ontology X\nentity E\nobjectset A\ncardinality sometimes\n",
+        ErrorCase{"EndOutsideObjectSet",
+                  "ontology X\nentity E\nend\n", "'end' outside objectset"},
+        ErrorCase{"UnknownCardinality",
+                  "ontology X\nentity E\nobjectset A\ncardinality sometimes\n",
                   "unknown cardinality"},
-        ErrorCase{"ontology X\nentity E\nkeyword k\n",
+        ErrorCase{"KeywordOutsideObjectSet",
+                  "ontology X\nentity E\nkeyword k\n",
                   "'keyword' outside objectset"},
-        ErrorCase{"ontology X\nentity E\nobjectset A\nkeyword\nend\n",
+        ErrorCase{"EmptyKeyword",
+                  "ontology X\nentity E\nobjectset A\nkeyword\nend\n",
                   "empty keyword"},
-        ErrorCase{"ontology X\nentity E\nobjectset A\npattern\nend\n",
+        ErrorCase{"EmptyPattern",
+                  "ontology X\nentity E\nobjectset A\npattern\nend\n",
                   "empty pattern"},
-        ErrorCase{"ontology X\nentity E\nfrobnicate y\n",
+        ErrorCase{"UnknownDirective",
+                  "ontology X\nentity E\nfrobnicate y\n",
                   "unknown directive"},
-        ErrorCase{"ontology X\nentity E\nobjectset A\nkeyword k\n",
+        ErrorCase{"UnterminatedObjectSet",
+                  "ontology X\nentity E\nobjectset A\nkeyword k\n",
                   "unterminated objectset"}));
 
 TEST(OntologyParserTest, ErrorsNameLineNumbers) {
