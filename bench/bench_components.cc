@@ -2,7 +2,8 @@
 //
 // Component micro-benchmarks: the HTML lexer, the Appendix-A tag-tree
 // builder, candidate extraction, each of the five heuristics, the regex
-// engine, the lexicon matcher, the recognizer, and end-to-end discovery.
+// engine, the lexicon matcher, the recognizer, the Database-Instance
+// Generator's partition and field assembly, and end-to-end discovery.
 
 #include <benchmark/benchmark.h>
 
@@ -15,14 +16,19 @@
 #include "core/om_heuristic.h"
 #include "core/rp_heuristic.h"
 #include "core/sd_heuristic.h"
+#include "extract/db_instance_generator.h"
+#include "extract/extraction_context.h"
 #include "extract/recognizer.h"
+#include "extract/record_sink.h"
 #include "gen/adversarial.h"
 #include "gen/corpora.h"
 #include "gen/sites.h"
 #include "robust/limits.h"
 #include "html/arena.h"
 #include "html/lexer.h"
+#include "html/text_index.h"
 #include "html/tree_builder.h"
+#include "legacy_dbgen_baseline.h"
 #include "legacy_lexer_baseline.h"
 #include "legacy_recognizer_baseline.h"
 #include "legacy_tree_baseline.h"
@@ -323,6 +329,91 @@ void BM_RecognizerCompile(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RecognizerCompile);
+
+// One document's Database-Instance Generator input: its Data-Record Table
+// in document offsets and the separator's cut positions, as the pipeline
+// computes them for the first test-site listing page of `domain`.
+struct DbgenInput {
+  Ontology ontology;
+  std::shared_ptr<const DatabaseInstanceGenerator> generator;
+  DataRecordTable table;
+  std::vector<size_t> cuts;
+};
+
+const DbgenInput& DbgenInputFor(Domain domain) {
+  static const std::vector<DbgenInput> inputs = [] {
+    std::vector<DbgenInput> out;
+    for (Domain d : kRecognizerDomains) {
+      DbgenInput input;
+      input.ontology = BundledOntology(d).value();
+      const std::string html =
+          gen::RenderDocument(gen::TestSites(d)[0], d, 0).html;
+      ContextOptions options;
+      options.template_memoization = TemplateMemoization::kNever;
+      const ExtractionContext context =
+          ExtractionContext::Create(input.ontology, options).value();
+      BufferSink sink;
+      ExtractionOutcome outcome =
+          context.ExtractDocumentInto(html, sink).value();
+      const TagTree tree = BuildTagTree(html).value();
+      const CandidateAnalysis analysis = ExtractCandidateTags(tree).value();
+      input.cuts = TextIndex(tree, *analysis.subtree)
+                       .SeparatorPositions(outcome.separator);
+      input.table = std::move(outcome.table);
+      input.generator = context.instance_generator();
+      out.push_back(std::move(input));
+    }
+    return out;
+  }();
+  return inputs[static_cast<size_t>(domain)];
+}
+
+// The pipeline's dbgen step over one document (arg = Domain): partition
+// the table at the cuts, drop the preamble and a trailing empty
+// partition, assemble every record's fields. CI's dbgen ratio guard
+// asserts BM_Dbgen / BM_DbgenLegacy per domain by items_per_second
+// (entries).
+void BM_Dbgen(benchmark::State& state) {
+  const DbgenInput& input = DbgenInputFor(static_cast<Domain>(state.range(0)));
+  for (auto _ : state) {
+    std::vector<DataRecordTable> partitions =
+        input.table.PartitionAt(input.cuts);
+    partitions.erase(partitions.begin());
+    while (!partitions.empty() && partitions.back().empty()) {
+      partitions.pop_back();
+    }
+    for (const DataRecordTable& partition : partitions) {
+      benchmark::DoNotOptimize(input.generator->FieldsFromTable(partition));
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(input.table.size()));
+}
+BENCHMARK(BM_Dbgen)->DenseRange(0, 3);
+
+// The frozen copying partition and map-based field assembly
+// (bench/legacy_dbgen_baseline.cc) over the same inputs: the ratio
+// guard's baseline.
+void BM_DbgenLegacy(benchmark::State& state) {
+  const DbgenInput& input = DbgenInputFor(static_cast<Domain>(state.range(0)));
+  const bench::LegacyFieldAssembler legacy(input.ontology);
+  const std::vector<DataRecordEntry> entries(input.table.entries().begin(),
+                                             input.table.entries().end());
+  for (auto _ : state) {
+    std::vector<std::vector<DataRecordEntry>> partitions =
+        bench::LegacyPartitionAt(entries, input.cuts);
+    partitions.erase(partitions.begin());
+    while (!partitions.empty() && partitions.back().empty()) {
+      partitions.pop_back();
+    }
+    for (const std::vector<DataRecordEntry>& partition : partitions) {
+      benchmark::DoNotOptimize(legacy.FieldsFromTable(partition));
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(entries.size()));
+}
+BENCHMARK(BM_DbgenLegacy)->DenseRange(0, 3);
 
 }  // namespace
 }  // namespace webrbd

@@ -96,17 +96,27 @@ RecordBoundaryDiscoverer::RecordBoundaryDiscoverer(
   }
 }
 
+Status RecordBoundaryDiscoverer::CheckHeuristics() const {
+  if (!heuristics_.empty()) return Status::OK();
+  auto names = ParseHeuristicLetters(options_.heuristics);
+  if (!names.ok()) return names.status();
+  return Status::Internal("heuristic pipeline failed to initialize");
+}
+
 Result<DiscoveryResult> RecordBoundaryDiscoverer::Discover(
     const TagTree& tree) const {
-  if (heuristics_.empty()) {
-    auto names = ParseHeuristicLetters(options_.heuristics);
-    if (!names.ok()) return names.status();
-    return Status::Internal("heuristic pipeline failed to initialize");
-  }
+  WEBRBD_RETURN_IF_ERROR(CheckHeuristics());
+  auto analysis = ExtractCandidateTags(tree, options_.candidate_options);
+  if (!analysis.ok()) return analysis.status();
+  return Discover(tree, std::move(analysis).value());
+}
+
+Result<DiscoveryResult> RecordBoundaryDiscoverer::Discover(
+    const TagTree& tree, CandidateAnalysis analysis) const {
+  WEBRBD_RETURN_IF_ERROR(CheckHeuristics());
 
   DiscoveryResult result;
-  WEBRBD_ASSIGN_OR_RETURN(
-      result.analysis, ExtractCandidateTags(tree, options_.candidate_options));
+  result.analysis = std::move(analysis);
 
   // Note: the paper short-circuits when exactly one candidate remains; the
   // general path below selects that single candidate identically, so we keep

@@ -101,6 +101,12 @@ class RecordBoundaryDiscoverer {
   /// Steps 2-6 of the algorithm on an existing tag tree.
   [[nodiscard]] Result<DiscoveryResult> Discover(const TagTree& tree) const;
 
+  /// Steps 3-6 on a tree whose Section 3 candidate analysis the caller has
+  /// already run (ExtractCandidateTags over `tree` with this discoverer's
+  /// candidate_options), so it is not computed twice.
+  [[nodiscard]] Result<DiscoveryResult> Discover(
+      const TagTree& tree, CandidateAnalysis analysis) const;
+
   const StandaloneDiscoveryOptions& options() const { return options_; }
 
   /// Expands a heuristic letter string ("ORSIH") to names ({"OM", ...});
@@ -113,6 +119,9 @@ class RecordBoundaryDiscoverer {
   static std::vector<std::string> AllCombinations();
 
  private:
+  // OK when the heuristic pipeline built; else why it did not.
+  [[nodiscard]] Status CheckHeuristics() const;
+
   StandaloneDiscoveryOptions options_;
   std::vector<std::unique_ptr<SeparatorHeuristic>> heuristics_;
 };

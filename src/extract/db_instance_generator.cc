@@ -3,9 +3,11 @@
 #include "extract/db_instance_generator.h"
 
 #include <algorithm>
+#include <bit>
+#include <functional>
 #include <limits>
-#include <map>
-#include <set>
+#include <span>
+#include <string_view>
 
 namespace webrbd {
 
@@ -32,30 +34,44 @@ DatabaseInstanceGenerator::DatabaseInstanceGenerator(
       recognizer_(std::move(recognizer)),
       options_(options) {
   for (const ObjectSet& object_set : ontology.object_sets()) {
+    size_t first = 0;
+    while (first < fields_.size() && fields_[first].name != object_set.name) {
+      ++first;
+    }
     fields_.push_back(FieldInfo{object_set.name, object_set.cardinality,
                                 object_set.frame.HasValueRecognizers(),
-                                object_set.frame.HasKeywords()});
+                                object_set.frame.HasKeywords(), first});
   }
 }
 
-std::vector<DataRecordEntry> DatabaseInstanceGenerator::ResolveConstants(
-    const DataRecordTable& table) const {
-  // Group constants by span; a span matched under several descriptors is
-  // ambiguous (shared value type, e.g. a date that could be the death or
-  // the funeral date).
-  std::map<std::pair<size_t, size_t>, std::vector<const DataRecordEntry*>>
-      spans;
-  std::vector<const DataRecordEntry*> keywords;
-  for (const DataRecordEntry& entry : table.entries()) {
-    if (entry.kind == MatchKind::kConstant) {
-      spans[{entry.begin, entry.end}].push_back(&entry);
-    } else {
-      keywords.push_back(&entry);
-    }
+size_t DatabaseInstanceGenerator::FieldIndex(
+    const DataRecordEntry& entry) const {
+  if (entry.object_set < fields_.size() &&
+      fields_[entry.object_set].name == entry.descriptor) {
+    return fields_[entry.object_set].first;
   }
+  for (size_t i = 0; i < fields_.size(); ++i) {
+    if (fields_[i].name == entry.descriptor) return i;
+  }
+  return fields_.size();
+}
+
+std::vector<const DataRecordEntry*> DatabaseInstanceGenerator::ResolveConstants(
+    const DataRecordTable& table) const {
+  // Constants are grouped by span; a span matched under several
+  // descriptors is ambiguous (shared value type, e.g. a date that could be
+  // the death or the funeral date). Entries are sorted by begin, so each
+  // run of equal begins holds every span starting there; ordering a run's
+  // constants by end (stably) yields the spans in (begin, end) order, each
+  // group in table order.
+  const std::span<const DataRecordEntry> entries = table.entries();
+  std::vector<const DataRecordEntry*> keywords;
+  std::vector<const DataRecordEntry*> resolved;
+  std::vector<const DataRecordEntry*> run;
 
   // Distance from the nearest preceding same-descriptor keyword to `begin`,
-  // or SIZE_MAX when none lies within the window.
+  // or SIZE_MAX when none lies within the window. Keywords after the
+  // current run are not collected yet, and could not claim it anyway.
   auto keyword_distance = [&](const std::string& descriptor, size_t begin) {
     size_t best = std::numeric_limits<size_t>::max();
     for (const DataRecordEntry* keyword : keywords) {
@@ -69,28 +85,20 @@ std::vector<DataRecordEntry> DatabaseInstanceGenerator::ResolveConstants(
     return best;
   };
 
-  std::vector<DataRecordEntry> resolved;
-  for (const auto& [span, group] : spans) {
-    if (group.size() == 1) {
-      resolved.push_back(*group[0]);
-      continue;
-    }
-    // Contested span: the descriptor with the closest preceding keyword
-    // wins.
+  // The entry that gets a contested span, or nullptr.
+  auto resolve = [&](std::span<const DataRecordEntry* const> group)
+      -> const DataRecordEntry* {
+    // The descriptor with the closest preceding keyword wins.
     const DataRecordEntry* winner = nullptr;
     size_t winner_distance = std::numeric_limits<size_t>::max();
     for (const DataRecordEntry* entry : group) {
-      const size_t distance = keyword_distance(entry->descriptor, span.first);
+      const size_t distance = keyword_distance(entry->descriptor, entry->begin);
       if (distance < winner_distance) {
         winner_distance = distance;
         winner = entry;
       }
     }
-    if (winner != nullptr &&
-        winner_distance != std::numeric_limits<size_t>::max()) {
-      resolved.push_back(*winner);
-      continue;
-    }
+    if (winner != nullptr) return winner;
     // No keyword claims the span. A value-identified object set (one whose
     // frame carries no keywords at all) may still claim it: such sets are
     // recognized by value alone, whereas keyword-bearing sets expect
@@ -98,24 +106,49 @@ std::vector<DataRecordEntry> DatabaseInstanceGenerator::ResolveConstants(
     // resolves; otherwise the span stays unassigned — the paper's pipeline
     // prefers precision over recall here.
     const DataRecordEntry* keywordless_claim = nullptr;
-    bool unique = true;
     for (const DataRecordEntry* entry : group) {
-      for (const FieldInfo& field : fields_) {
-        if (field.name != entry->descriptor) continue;
-        if (!field.has_keywords) {
-          if (keywordless_claim != nullptr) unique = false;
-          keywordless_claim = entry;
-        }
-        break;
+      const size_t field = FieldIndex(*entry);
+      if (field == fields_.size() || fields_[field].has_keywords) continue;
+      if (keywordless_claim != nullptr) return nullptr;
+      keywordless_claim = entry;
+    }
+    return keywordless_claim;
+  };
+
+  for (size_t i = 0; i < entries.size();) {
+    run.clear();
+    size_t next = i;
+    for (; next < entries.size() && entries[next].begin == entries[i].begin;
+         ++next) {
+      if (entries[next].kind == MatchKind::kConstant) {
+        run.push_back(&entries[next]);
+      } else {
+        keywords.push_back(&entries[next]);
       }
     }
-    if (keywordless_claim != nullptr && unique) {
-      resolved.push_back(*keywordless_claim);
+    i = next;
+    // By end, then by table order: the run's pointers all point into one
+    // array, so address order is table order.
+    std::sort(run.begin(), run.end(),
+              [](const DataRecordEntry* a, const DataRecordEntry* b) {
+                return a->end != b->end ? a->end < b->end : a < b;
+              });
+    for (size_t first = 0; first < run.size();) {
+      size_t last = first + 1;
+      while (last < run.size() && run[last]->end == run[first]->end) ++last;
+      const DataRecordEntry* winner =
+          last - first == 1
+              ? run[first]
+              : resolve(std::span(run).subspan(first, last - first));
+      if (winner != nullptr) resolved.push_back(winner);
+      first = last;
     }
   }
+  // Already in begin order; the sort is kept because it fixes the order
+  // of equal begins (different ends) that records have always had.
   std::sort(resolved.begin(), resolved.end(),
-            [](const DataRecordEntry& a, const DataRecordEntry& b) {
-              return a.begin < b.begin;
+            [](const DataRecordEntry* a, const DataRecordEntry* b) {
+              return a->begin < b->begin;
             });
   return resolved;
 }
@@ -128,31 +161,46 @@ DatabaseInstanceGenerator::FieldsForRecord(std::string_view record_text) const {
 std::vector<std::pair<std::string, std::string>>
 DatabaseInstanceGenerator::FieldsFromTable(
     const DataRecordTable& record_table) const {
-  std::vector<DataRecordEntry> constants = ResolveConstants(record_table);
+  const std::vector<const DataRecordEntry*> constants =
+      ResolveConstants(record_table);
 
   std::vector<std::pair<std::string, std::string>> fields;
-  std::set<std::string> functional_done;
-  std::set<std::pair<std::string, std::string>> many_seen;
-  for (const DataRecordEntry& entry : constants) {
-    const FieldInfo* info = nullptr;
-    for (const FieldInfo& field : fields_) {
-      if (field.name == entry.descriptor) {
-        info = &field;
+  fields.reserve(constants.size());
+  // Per field: whether a functional field has its value.
+  std::vector<uint8_t> functional_done(fields_.size(), 0);
+  // Many-valued fields keep every distinct value: an open-addressing set
+  // over the kept (field, value) pairs, sized for every constant, holding
+  // index + 1 into `kept` (0 = empty).
+  std::vector<std::pair<size_t, const std::string*>> kept;
+  std::vector<uint32_t> slots;
+  for (const DataRecordEntry* entry : constants) {
+    const size_t field = FieldIndex(*entry);
+    if (field == fields_.size()) continue;
+    if (fields_[field].cardinality != Cardinality::kMany) {
+      // Functional / one-to-one: first (leftmost) constant wins.
+      if (functional_done[field] == 0) {
+        functional_done[field] = 1;
+        fields.emplace_back(entry->descriptor, entry->value);
+      }
+      continue;
+    }
+    if (slots.empty()) slots.assign(std::bit_ceil(constants.size() * 2), 0);
+    const size_t mask = slots.size() - 1;
+    size_t slot =
+        (std::hash<std::string_view>()(entry->value) ^ field * 0x9E3779B9) &
+        mask;
+    bool seen = false;
+    for (; slots[slot] != 0; slot = (slot + 1) & mask) {
+      const auto& [kept_field, kept_value] = kept[slots[slot] - 1];
+      if (kept_field == field && *kept_value == entry->value) {
+        seen = true;
         break;
       }
     }
-    if (info == nullptr) continue;
-    if (info->cardinality == Cardinality::kMany) {
-      // Many-valued: keep every distinct value.
-      if (many_seen.insert({entry.descriptor, entry.value}).second) {
-        fields.emplace_back(entry.descriptor, entry.value);
-      }
-    } else {
-      // Functional / one-to-one: first (leftmost) constant wins.
-      if (functional_done.insert(entry.descriptor).second) {
-        fields.emplace_back(entry.descriptor, entry.value);
-      }
-    }
+    if (seen) continue;
+    kept.emplace_back(field, &entry->value);
+    slots[slot] = static_cast<uint32_t>(kept.size());
+    fields.emplace_back(entry->descriptor, entry->value);
   }
   return fields;
 }

@@ -82,14 +82,22 @@ class DatabaseInstanceGenerator {
 
   // Resolves constants claimed by multiple object sets (shared value types)
   // to the object set whose own keyword most closely precedes the constant.
-  std::vector<DataRecordEntry> ResolveConstants(
+  // The result points into `table`.
+  std::vector<const DataRecordEntry*> ResolveConstants(
       const DataRecordTable& table) const;
+
+  // Index into fields_ of the entry's object set (its object_set hint when
+  // that names it, else a search by name), or fields_.size() when unknown.
+  size_t FieldIndex(const DataRecordEntry& entry) const;
 
   struct FieldInfo {
     std::string name;
     Cardinality cardinality;
     bool has_constants;  // data frame has value recognizers
     bool has_keywords;   // data frame has keyword indicators
+    // The first field with this name: an unvalidated ontology may repeat
+    // one, and lookups by name have always resolved to the first.
+    size_t first;
   };
 
   std::vector<FieldInfo> fields_;

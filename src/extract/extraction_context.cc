@@ -414,17 +414,19 @@ Result<ExtractionOutcome> ExtractionContext::ExtractDocumentImpl(
   }
 
   // Locate the record region (Section 3). On a cache hit the memoized
-  // subtree path already resolved it — both candidate-analysis passes,
-  // the highest-fan-out scan, the five heuristics, and the certainty
-  // combination are skipped. Otherwise run the same analysis the
-  // discoverer performs; done here first because the recognizer pass runs
-  // over this region's text.
+  // subtree path already resolved it — the candidate analysis, the
+  // highest-fan-out scan, the five heuristics, and the certainty
+  // combination are skipped. Otherwise run the candidate analysis here,
+  // first, because the recognizer pass runs over this region's text; the
+  // discoverer then reuses it instead of running it again.
   const TagNode* region = nullptr;
+  std::optional<CandidateAnalysis> analysis;
   if (reapplied.has_value()) {
     region = reapplied->subtree;
   } else {
-    auto analysis = ExtractCandidateTags(*tree, base.candidate_options);
-    if (!analysis.ok()) return analysis.status();
+    auto analyzed = ExtractCandidateTags(*tree, base.candidate_options);
+    if (!analyzed.ok()) return analyzed.status();
+    analysis.emplace(std::move(analyzed).value());
     region = analysis->subtree;
   }
 
@@ -442,16 +444,18 @@ Result<ExtractionOutcome> ExtractionContext::ExtractDocumentImpl(
     DataRecordTable text_table = recognizer_->Recognize(index->text());
 
     // DRT build: reposition the text-relative entries into document byte
-    // offsets and freeze them as this document's Data-Record Table.
+    // offsets, in place, and freeze them as this document's Data-Record
+    // Table. Begins ascend, so one cursor walks the text segments once; an
+    // end lies at or after its begin, so its walk starts from there.
     obs::ScopedTimer drt_timer(obs::Stages().drt);
-    std::vector<DataRecordEntry> repositioned;
-    repositioned.reserve(text_table.size());
-    for (DataRecordEntry entry : text_table.entries()) {
-      entry.begin = index->ToDocumentOffset(entry.begin);
-      entry.end = index->ToDocumentOffset(entry.end);
-      repositioned.push_back(std::move(entry));
+    std::vector<DataRecordEntry> entries = std::move(text_table).TakeEntries();
+    TextIndex::Cursor cursor(*index);
+    for (DataRecordEntry& entry : entries) {
+      entry.begin = cursor.ToDocumentOffset(entry.begin);
+      TextIndex::Cursor end_cursor = cursor;
+      entry.end = end_cursor.ToDocumentOffset(entry.end);
     }
-    result.table = DataRecordTable(std::move(repositioned));
+    result.table = DataRecordTable(std::move(entries));
   }
 
   if (reapplied.has_value()) {
@@ -469,7 +473,7 @@ Result<ExtractionOutcome> ExtractionContext::ExtractDocumentImpl(
     discovery_options.estimator = std::make_shared<FixedRecordCountEstimator>(
         EstimateFromTable(*ontology_, result.table));
     RecordBoundaryDiscoverer discoverer(std::move(discovery_options));
-    auto discovery = discoverer.Discover(*tree);
+    auto discovery = discoverer.Discover(*tree, std::move(*analysis));
     if (!discovery.ok()) return discovery.status();
     if (cache != nullptr) {
       // Captured now (the tree must still be alive), inserted only after

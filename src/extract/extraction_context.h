@@ -204,10 +204,9 @@ struct CorpusStats {
 
   /// Per-stage latency deltas for this run, in pipeline order. Filled only
   /// when obs::MetricsEnabled(); empty otherwise. Stage totals can exceed
-  /// wall_seconds on multi-thread runs (they sum across workers), and the
-  /// "candidates" stage records two spans per document (the integrated
-  /// pipeline analyzes candidates once directly and once inside
-  /// discovery).
+  /// wall_seconds on multi-thread runs (they sum across workers). The
+  /// "candidates" stage records one span per document that misses the
+  /// template cache.
   std::vector<StageLatencySummary> stage_latencies;
 
   /// Worker busy fraction of the pool over the batch window (0 when

@@ -56,17 +56,26 @@ DataRecordTable Recognizer::Recognize(std::string_view plain_text) const {
   });
 
   // Each distinct program scans once (leftmost-first, non-overlapping,
-  // like Regex::FindAll) and its matches go to every owner.
+  // like Regex::FindAll) and its matches go to every owner. A matcher with
+  // a start-set automaton seeds the VM only where its reverse pass says a
+  // match can begin; past the automaton's state cap, or with more starts
+  // than the hit cap, it falls back to the plain scan, which finds the
+  // same matches.
   PikeVm vm;
+  StartSetAutomaton::Scratch start_scratch;
   for (size_t m = 0; m < matchers.size(); ++m) {
     const ScanPlan::Matcher& matcher = matchers[m];
-    const bool prefiltered = matcher.prefiltered && !too_common[m];
+    bool seeded = matcher.prefiltered && !too_common[m];
+    if (matcher.start_set.has_value()) {
+      seeded = matcher.start_set->Scan(plain_text, max_hits, &start_scratch,
+                                       &starts[m]);
+    }
     vm.Bind(*matcher.program);
     std::span<const size_t> candidates = starts[m];
     size_t pos = 0;
     while (pos <= plain_text.size()) {
       std::optional<RegexMatch> match;
-      if (prefiltered) {
+      if (seeded) {
         while (!candidates.empty() && candidates.front() < pos) {
           candidates = candidates.subspan(1);
         }
@@ -109,7 +118,8 @@ DataRecordTable Recognizer::Recognize(std::string_view plain_text) const {
         rules[hit.object_set].object_set,
         std::string(plain_text.substr(hit.begin, hit.end - hit.begin)),
         hit.begin, hit.end,
-        hit.order == 0 ? MatchKind::kKeyword : MatchKind::kConstant});
+        hit.order == 0 ? MatchKind::kKeyword : MatchKind::kConstant,
+        hit.object_set});
   }
   return DataRecordTable(std::move(entries));
 }

@@ -38,14 +38,29 @@ size_t TextIndex::ToDocumentOffset(size_t text_offset) const {
       [](size_t offset, const Segment& segment) {
         return offset < segment.text_begin;
       });
-  if (it == segments_.begin()) return segments_.front().doc_begin;
-  --it;
-  if (it->synthetic) {
-    // Inside an inserted boundary byte: report the tag's position.
-    return it->doc_begin;
+  if (it != segments_.begin()) --it;
+  return MapInSegment(static_cast<size_t>(it - segments_.begin()),
+                      text_offset);
+}
+
+size_t TextIndex::Cursor::ToDocumentOffset(size_t text_offset) {
+  const std::vector<Segment>& segments = index_->segments_;
+  if (segments.empty()) return index_->region_end_;
+  if (segments[segment_].text_begin > text_offset) segment_ = 0;
+  while (segment_ + 1 < segments.size() &&
+         segments[segment_ + 1].text_begin <= text_offset) {
+    ++segment_;
   }
-  const size_t delta = text_offset - it->text_begin;
-  return std::min(it->doc_begin + delta, region_end_);
+  return index_->MapInSegment(segment_, text_offset);
+}
+
+size_t TextIndex::MapInSegment(size_t segment, size_t text_offset) const {
+  const Segment& it = segments_[segment];
+  // Before the first segment, or inside an inserted boundary byte: report
+  // the tag's position.
+  if (it.text_begin > text_offset || it.synthetic) return it.doc_begin;
+  const size_t delta = text_offset - it.text_begin;
+  return std::min(it.doc_begin + delta, region_end_);
 }
 
 std::vector<size_t> TextIndex::SeparatorPositions(

@@ -33,6 +33,21 @@ class TextIndex {
   /// `text_offset == text().size()` maps to the region's end.
   size_t ToDocumentOffset(size_t text_offset) const;
 
+  /// ToDocumentOffset for a run of ascending offsets, such as the begins
+  /// of a Data-Record Table's entries: each call walks the segments
+  /// forward from the previous call's instead of searching them all (an
+  /// offset below the previous one walks from the first segment). The
+  /// index must outlive the cursor.
+  class Cursor {
+   public:
+    explicit Cursor(const TextIndex& index) : index_(&index) {}
+    size_t ToDocumentOffset(size_t text_offset);
+
+   private:
+    const TextIndex* index_;
+    size_t segment_ = 0;  // the previous offset's segment
+  };
+
   /// Document positions (start-tag begin offsets) of every occurrence of
   /// `tag` start tags within the region, ascending.
   std::vector<size_t> SeparatorPositions(const std::string& tag) const;
@@ -51,6 +66,10 @@ class TextIndex {
     size_t doc_begin;   // document offset of that byte
     bool synthetic;     // true for inserted '\n' boundary bytes
   };
+
+  // Maps text_offset, which lies in segments_[segment] (or before the
+  // first segment), to its document offset.
+  size_t MapInSegment(size_t segment, size_t text_offset) const;
 
   std::string text_;
   std::vector<Segment> segments_;

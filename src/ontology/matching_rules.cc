@@ -98,7 +98,7 @@ ScanPlan ScanPlan::Build(const MatchingRuleSet& rules) {
   auto own = [&](const Regex& regex, Owner owner) {
     const RegexProgram* program = &regex.program();
     auto [it, added] = matcher_of.emplace(program, plan.matchers_.size());
-    if (added) plan.matchers_.push_back(Matcher{program, {}, false});
+    if (added) plan.matchers_.push_back(Matcher{program, {}, false, {}});
     plan.matchers_[it->second].owners.push_back(owner);
   };
   std::vector<const Lexicon*> lexicons;
@@ -123,6 +123,20 @@ ScanPlan ScanPlan::Build(const MatchingRuleSet& rules) {
     }
   }
   if (!literals.empty()) plan.literals_ = MultiLiteralMatcher(literals);
+  // Digit- and symbol-led matchers keep the SWAR start-byte skip: their
+  // start bytes are rare in prose, so the skip beats a byte-by-byte pass.
+  for (Matcher& matcher : plan.matchers_) {
+    const std::optional<ByteSet>& start = matcher.program->start_bytes;
+    if (matcher.prefiltered || !start.has_value()) continue;
+    bool letter_led = false;
+    for (int c = 'A'; c <= 'Z'; ++c) {
+      letter_led = letter_led || start->Test(static_cast<unsigned char>(c)) ||
+                   start->Test(static_cast<unsigned char>(c - 'A' + 'a'));
+    }
+    if (letter_led) {
+      matcher.start_set = StartSetAutomaton::Build(*matcher.program);
+    }
+  }
   plan.lexicons_ = LexiconSet(lexicons);
   return plan;
 }

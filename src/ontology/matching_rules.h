@@ -7,6 +7,7 @@
 #define WEBRBD_ONTOLOGY_MATCHING_RULES_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "text/lexicon.h"
 #include "text/multi_literal.h"
 #include "text/regex.h"
+#include "text/start_set.h"
 #include "util/result.h"
 
 namespace webrbd {
@@ -64,8 +66,12 @@ class MatchingRuleSet {
 ///    matches go to every (object set, kind, slot) that owns it;
 ///  - every matcher with a literal prefix set (LiteralPrefixes) has those
 ///    literals in one multi-literal automaton tagged with the matcher's
-///    index, so the VM runs only where a prefix occurs; the rest scan with
-///    the start-byte-skipping VM;
+///    index, so the VM runs only where a prefix occurs;
+///  - every other matcher whose start bytes hold a letter carries a
+///    reverse start-set automaton (text/start_set.h), so the VM runs only
+///    where a match can begin; the rest (digit- or symbol-led ones, for
+///    which the SWAR start-byte skip is faster) scan with the
+///    start-byte-skipping VM;
 ///  - every object set's lexicon matches over one shared tokenization.
 class ScanPlan {
  public:
@@ -81,6 +87,8 @@ class ScanPlan {
     const RegexProgram* program = nullptr;  ///< owned by the rule set
     std::vector<Owner> owners;
     bool prefiltered = false;  ///< has literals in literals()
+    /// Set only for unprefiltered, letter-led matchers small enough.
+    std::optional<StartSetAutomaton> start_set;
   };
 
   /// Builds the plan for `rules`, which must outlive it.

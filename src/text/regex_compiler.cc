@@ -25,6 +25,9 @@ struct ClosureWalker {
   // `max_visits` instructions; sets *has_assert if one was passed.
   bool Walk(const RegexProgram& program, int pc, size_t max_visits,
             std::vector<int>* targets, bool* has_assert) {
+    if (stamps.size() < program.insts.size()) {
+      stamps.resize(program.insts.size(), 0);
+    }
     const size_t begin = targets->size();
     ++stamp;
     stack.assign(1, pc);
@@ -387,6 +390,12 @@ std::vector<std::string> LiteralPrefixes(const RegexProgram& program) {
   }
   if (literals.size() > kMaxLiterals) return {};
   return literals;
+}
+
+std::span<const int> ClosureTargets(const RegexProgram& program, int pc,
+                                    std::vector<int>* scratch) {
+  ClosureWalker walker(0);  // sized on its first walk, if any
+  return ClosureAt(program, pc, &walker, scratch);
 }
 
 std::string RegexProgram::ToString() const {

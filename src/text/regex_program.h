@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -95,6 +96,13 @@ struct RegexProgram {
 /// holds one byte or one ASCII letter in both cases; assertions are looked
 /// through (the VM still checks them).
 std::vector<std::string> LiteralPrefixes(const RegexProgram& program);
+
+/// The kClass / kMatch instructions the epsilon closure of `pc` reaches,
+/// every assertion taken as satisfiable, in the VM's priority order: the
+/// precomputed span in program.closure_targets when there is one, else a
+/// walk into *scratch (valid until scratch changes).
+std::span<const int> ClosureTargets(const RegexProgram& program, int pc,
+                                    std::vector<int>* scratch);
 
 }  // namespace webrbd
 

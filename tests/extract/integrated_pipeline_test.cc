@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/record_extractor.h"
 #include "eval/figure2.h"
 #include "extract/db_instance_generator.h"
@@ -50,6 +52,25 @@ TEST(TextIndexTest, EmptyRegion) {
   TagTree tree = BuildTagTree("<td></td>").value();
   TextIndex index(tree, *tree.root().children[0]);
   EXPECT_EQ(index.text(), "\n");  // just the td boundary byte
+}
+
+// The cursor the DRT step repositions entries with maps exactly like
+// ToDocumentOffset: ascending offsets, a copy resumed from a begin for its
+// end, and an offset below the previous one.
+TEST(TextIndexTest, CursorMatchesToDocumentOffset) {
+  const std::string doc = Figure2Document();
+  TagTree tree = BuildTagTree(doc).value();
+  TextIndex index(tree, tree.root());
+  TextIndex::Cursor cursor(index);
+  for (size_t offset = 0; offset <= index.text().size(); ++offset) {
+    ASSERT_EQ(cursor.ToDocumentOffset(offset), index.ToDocumentOffset(offset))
+        << offset;
+    TextIndex::Cursor end_cursor = cursor;
+    const size_t end = std::min(offset + 17, index.text().size());
+    ASSERT_EQ(end_cursor.ToDocumentOffset(end), index.ToDocumentOffset(end))
+        << end;
+  }
+  EXPECT_EQ(cursor.ToDocumentOffset(3), index.ToDocumentOffset(3));
 }
 
 TEST(IntegratedPipelineTest, Figure2EndToEnd) {

@@ -21,6 +21,8 @@
 #include "html/tree_builder.h"
 #include "legacy_recognizer_baseline.h"
 #include "ontology/bundled.h"
+#include "ontology/parser.h"
+#include "util/rng.h"
 
 namespace webrbd {
 namespace {
@@ -157,6 +159,35 @@ TEST(RecognizerDifferentialFloodTest, PrefixFloodFallsBackToPlainScan) {
       SCOPED_TRACE(DomainName(domain) + ": " + text->substr(0, 12));
       ExpectSameTable(legacy.Recognize(*text), recognizer.Recognize(*text));
     }
+  }
+}
+
+// Unprefiltered letter-led patterns scan with the reverse start-set
+// automaton. Past its per-call state cap ((a|b){16}a read backwards has
+// 2^17 states) or with starts outnumbering the hit cap (every letter of a
+// letter run starts [a-z]+), a matcher falls back to the plain scan
+// mid-document; the table must not change.
+TEST(RecognizerDifferentialStartSetTest, CapsFallBackToPlainScan) {
+  const Ontology ontology = ParseOntology(
+      "ontology Caps\nentity E\n\n"
+      "objectset Blowup\n  pattern (a|b){16}a\nend\n\n"
+      "objectset Word\n  pattern [a-z]+ [a-z]\nend\n\n"
+      "objectset Name\n  pattern [A-Z][a-z]+ [A-Z]\\. [A-Z][a-z]+\nend\n")
+      .value();
+  const Recognizer recognizer = Recognizer::Create(ontology).value();
+  const bench::LegacyRecognizer legacy =
+      bench::LegacyRecognizer::Create(ontology).value();
+  Rng rng(11, /*stream=*/0xca95);
+  std::string ab, letters, mixed;
+  for (int i = 0; i < 3000; ++i) ab += rng.Chance(0.5) ? 'a' : 'b';
+  for (int i = 0; i < 3000; ++i) {
+    letters += static_cast<char>('a' + rng.Below(26));
+    if (rng.Chance(0.05)) letters += ' ';
+  }
+  for (int i = 0; i < 300; ++i) mixed += "Jane Q. Public ab ";
+  for (const std::string* text : {&ab, &letters, &mixed}) {
+    SCOPED_TRACE(text->substr(0, 12));
+    ExpectSameTable(legacy.Recognize(*text), recognizer.Recognize(*text));
   }
 }
 

@@ -6,7 +6,10 @@
 // lexicon entries — and random texts with planted hits, and requires the
 // production Recognizer and the frozen per-matcher recognizer
 // (bench/legacy_recognizer_baseline.cc) to produce byte-identical
-// Data-Record Tables. Failures name the seed, the ontology and the text.
+// Data-Record Tables. A second driver does the same for letter-led
+// patterns that scan with the reverse start-set automaton, including
+// shapes past its state cap. Failures name the seed, the ontology and the
+// text.
 
 #include <gtest/gtest.h>
 
@@ -166,6 +169,69 @@ TEST_P(RecognizerFuzzTest, MatchesFrozenRecognizer) {
     if (!recognizer.ok()) continue;
     for (int t = 0; t < 4; ++t) {
       const std::string text = RandomText(&rng, 40 + rng.Below(400));
+      SCOPED_TRACE(fuzz::SeedTrace(GetParam(), text));
+      ExpectSameTable(legacy->Recognize(text), recognizer->Recognize(text));
+    }
+  }
+}
+
+// A value pattern the literal-prefix automaton cannot filter and whose
+// start bytes hold a letter, so the recognizer scans it with the reverse
+// start-set automaton: letter-class names, a class followed by a suffix
+// alternation, and shapes whose reverse determinization blows past the
+// per-call state cap.
+std::string RandomLetterLedPattern(Rng* rng) {
+  switch (rng->Below(6)) {
+    case 0:
+      return "[A-Z][a-z]+ [A-Z]\\. [A-Z][a-z]+";
+    case 1: {
+      std::string out = "[A-Z][A-Za-z]+ (" + Word(rng);
+      for (int k = rng->RangeInclusive(1, 4); k > 0; --k) {
+        out += "|" + Word(rng);
+      }
+      return out + ")";
+    }
+    case 2:
+      return "\\b[A-Z]{2,5} [0-9]{3}\\b";
+    case 3:
+      return "(a|b){" + std::to_string(rng->RangeInclusive(4, 20)) + "}a";
+    case 4:
+      return "([a-z]|ab){" + std::to_string(rng->RangeInclusive(3, 14)) +
+             "}(x|" + Word(rng) + ")";
+    default:
+      return "[a-z]+" + std::string(rng->Chance(0.5) ? " " : "") + Word(rng) +
+             (rng->Chance(0.5) ? "\\b" : "");
+  }
+}
+
+// Letter-led patterns next to the random ones, over the random texts and
+// over runs of a and b, where the blow-up shapes hit their state cap.
+TEST_P(RecognizerFuzzTest, LetterLedPatternsMatchFrozenRecognizer) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 0x9E3779B97F4A7C15ULL + 17);
+  for (int round = 0; round < 3; ++round) {
+    std::string dsl = "ontology Fuzz\nentity E\n\n";
+    for (int i = rng.RangeInclusive(1, 4); i > 0; --i) {
+      dsl += "objectset L" + std::to_string(i) + "\n  pattern " +
+             RandomLetterLedPattern(&rng) + "\n";
+      if (rng.Chance(0.3)) dsl += "  pattern " + RandomPattern(&rng) + "\n";
+      dsl += "end\n\n";
+    }
+    SCOPED_TRACE(fuzz::SeedTrace(GetParam(), dsl));
+    auto ontology = ParseOntology(dsl);
+    if (!ontology.ok()) continue;
+    auto recognizer = Recognizer::Create(*ontology);
+    auto legacy = bench::LegacyRecognizer::Create(*ontology);
+    ASSERT_EQ(recognizer.ok(), legacy.ok());
+    if (!recognizer.ok()) continue;
+    for (int t = 0; t < 4; ++t) {
+      std::string text;
+      if (t == 3) {
+        for (size_t n = 200 + rng.Below(2000); n > 0; --n) {
+          text += rng.Chance(0.02) ? ' ' : (rng.Chance(0.5) ? 'a' : 'b');
+        }
+      } else {
+        text = RandomText(&rng, 40 + rng.Below(600));
+      }
       SCOPED_TRACE(fuzz::SeedTrace(GetParam(), text));
       ExpectSameTable(legacy->Recognize(text), recognizer->Recognize(text));
     }

@@ -12,6 +12,13 @@ the headline MB/s numbers the README and CI artifacts track:
                                per-matcher recognizer: MB/s over the four
                                bundled domains' texts together, the
                                speedup, and the speedup per domain
+    recognizer_compile_us      BM_RecognizerCompile: Recognizer::Create
+                               for all four bundled ontologies
+    dbgen / _legacy            BM_Dbgen/<domain> vs the frozen copying
+                               partition and map-based field assembly:
+                               million entries/s over the four domains'
+                               documents together, the speedup, and the
+                               speedup per domain
     batch_pipeline             best BM_BatchPipeline/<threads>/<docs> run
     template_skew              BM_BatchPipelineTemplateSkew cache-on vs
                                cache-off: hit rate and memoization speedup
@@ -22,7 +29,8 @@ the headline MB/s numbers the README and CI artifacts track:
 
 Each section is included only when its benchmarks are present in the
 inputs, so partial runs still summarize. Repeated runs of one benchmark
-(--benchmark_repetitions) are collapsed to the best repetition — the
+(--benchmark_repetitions) are collapsed to the best repetition (highest
+throughput, or lowest time for a benchmark without one) — the
 noise-robust aggregate on a shared machine. Usage:
 
     tools/bench_summary.py --out BENCH_throughput.json a.json b.json
@@ -52,10 +60,15 @@ def load_benchmarks(paths):
                 continue
             name = bench["name"]
             best = runs.get(name)
-            if best is None or (bench.get("bytes_per_second", 0)
-                                > best.get("bytes_per_second", 0)):
+            if best is None or goodness(bench) > goodness(best):
                 runs[name] = bench
     return runs, serve_load
+
+
+def goodness(bench):
+    """Higher is better: throughput when reported, else minus the time."""
+    rate = bench.get("bytes_per_second", 0) or bench.get("items_per_second", 0)
+    return rate if rate else -real_seconds(bench)
 
 
 def mb_per_second(bench):
@@ -121,6 +134,28 @@ def main():
             summary[f"recognizer_speedup_{domain}"] = round(
                 runs[f"BM_Recognizer/{d}"]["bytes_per_second"]
                 / runs[f"BM_RecognizerLegacy/{d}"]["bytes_per_second"], 2)
+
+    if "BM_RecognizerCompile" in runs:
+        summary["recognizer_compile_us"] = round(
+            real_seconds(runs["BM_RecognizerCompile"]) * 1e6, 1)
+
+    # Dbgen section: BM_Dbgen/<d> and BM_DbgenLegacy/<d> partition and
+    # assemble the same four documents' tables; throughput in entries.
+    for key, prefix in [("dbgen", "BM_Dbgen/"),
+                        ("dbgen_legacy", "BM_DbgenLegacy/")]:
+        docs = [runs.get(f"{prefix}{d}") for d in range(len(domains))]
+        if all(docs):
+            seconds = sum(real_seconds(b) for b in docs)
+            total = sum(b["items_per_second"] * real_seconds(b) for b in docs)
+            summary[key + "_mentries_s"] = round(total / seconds / 1e6, 2)
+    if "dbgen_mentries_s" in summary and "dbgen_legacy_mentries_s" in summary:
+        summary["dbgen_speedup"] = round(
+            summary["dbgen_mentries_s"] / summary["dbgen_legacy_mentries_s"],
+            2)
+        for d, domain in enumerate(domains):
+            summary[f"dbgen_speedup_{domain}"] = round(
+                runs[f"BM_Dbgen/{d}"]["items_per_second"]
+                / runs[f"BM_DbgenLegacy/{d}"]["items_per_second"], 2)
 
     batch = [b for name, b in runs.items()
              if name.startswith("BM_BatchPipeline/")]
