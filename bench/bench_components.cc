@@ -1,9 +1,10 @@
 // Copyright (c) the webrbd authors. Licensed under the Apache License 2.0.
 //
 // Component micro-benchmarks: the HTML lexer, the Appendix-A tag-tree
-// builder, candidate extraction, each of the five heuristics, the regex
-// engine, the lexicon matcher, the recognizer, the Database-Instance
-// Generator's partition and field assembly, and end-to-end discovery.
+// builder and its lex+balance front end, candidate extraction, each of
+// the five heuristics, the regex engine, the lexicon matcher, the
+// recognizer, the Database-Instance Generator's partition and field
+// assembly, and end-to-end discovery.
 
 #include <benchmark/benchmark.h>
 
@@ -23,11 +24,13 @@
 #include "gen/adversarial.h"
 #include "gen/corpora.h"
 #include "gen/sites.h"
+#include "gen/template_skew.h"
 #include "robust/limits.h"
 #include "html/arena.h"
 #include "html/lexer.h"
 #include "html/text_index.h"
 #include "html/tree_builder.h"
+#include "legacy_balance_baseline.h"
 #include "legacy_dbgen_baseline.h"
 #include "legacy_lexer_baseline.h"
 #include "legacy_recognizer_baseline.h"
@@ -147,6 +150,71 @@ BENCHMARK(BM_TagTreeBuildStrayEndStorm)
     ->RangeMultiplier(4)
     ->Range(1 << 12, 200'000)
     ->Complexity(benchmark::oN);
+
+// Steps 1+2 (LexAndBalance) on three page shapes: the obituary page above
+// (prose-heavy), 32 template-skew pages (markup-dense, one token per ~5.5
+// bytes) and a tag storm. BM_LexAndBalanceLegacy runs the frozen
+// vector-attribute front end (legacy_balance_baseline.cc) on the same
+// pages; CI's bench-smoke guard floors each page's ratio by
+// bytes_per_second.
+enum class LexPage { kObituary, kTemplateSkew, kTagStorm };
+
+const std::vector<std::string>& LexBalancePages(LexPage page) {
+  static const std::vector<std::string> obituary = {Document()};
+  static const std::vector<std::string> template_skew = [] {
+    gen::TemplateSkewOptions options;
+    options.num_templates = 360;
+    options.num_pages = 32;
+    return gen::GenerateTemplateSkewCorpus(options).pages;
+  }();
+  static const std::vector<std::string> tag_storm = {
+      gen::RenderAdversarialDocument(gen::AdversarialShape::kTagStorm, 4096)};
+  switch (page) {
+    case LexPage::kObituary:
+      return obituary;
+    case LexPage::kTemplateSkew:
+      return template_skew;
+    case LexPage::kTagStorm:
+      break;
+  }
+  return tag_storm;
+}
+
+template <typename Balance>
+void RunLexAndBalance(benchmark::State& state, LexPage page,
+                      const Balance& balance) {
+  const std::vector<std::string>& pages = LexBalancePages(page);
+  int64_t bytes = 0;
+  for (const std::string& doc : pages) {
+    bytes += static_cast<int64_t>(doc.size());
+  }
+  DocumentArena arena;
+  for (auto _ : state) {
+    for (const std::string& doc : pages) {
+      arena.Reset();  // retains blocks and the intern table, as in a batch
+      benchmark::DoNotOptimize(
+          balance(doc, robust::DocumentLimits::Production(), arena));
+    }
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * bytes);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(pages.size()));
+}
+
+void BM_LexAndBalance(benchmark::State& state, LexPage page) {
+  RunLexAndBalance(state, page, LexAndBalance);
+}
+BENCHMARK_CAPTURE(BM_LexAndBalance, obituary, LexPage::kObituary);
+BENCHMARK_CAPTURE(BM_LexAndBalance, template_skew, LexPage::kTemplateSkew);
+BENCHMARK_CAPTURE(BM_LexAndBalance, tag_storm, LexPage::kTagStorm);
+
+void BM_LexAndBalanceLegacy(benchmark::State& state, LexPage page) {
+  RunLexAndBalance(state, page, bench::LegacyLexAndBalance);
+}
+BENCHMARK_CAPTURE(BM_LexAndBalanceLegacy, obituary, LexPage::kObituary);
+BENCHMARK_CAPTURE(BM_LexAndBalanceLegacy, template_skew,
+                  LexPage::kTemplateSkew);
+BENCHMARK_CAPTURE(BM_LexAndBalanceLegacy, tag_storm, LexPage::kTagStorm);
 
 void BM_CandidateExtraction(benchmark::State& state) {
   for (auto _ : state) {

@@ -36,7 +36,7 @@ std::string_view TagNameInterner::Store(std::string_view name) {
   return {out, name.size()};
 }
 
-TagSymbol TagNameInterner::Intern(std::string_view name) {
+TagSymbol TagNameInterner::InternUncached(std::string_view name) {
   // Symbols are keyed by the lowercased name. The lexer already hands out
   // lowercase names, so the ContainsAsciiUpper word-scan is a nearly free
   // guard; only defensive callers with mixed-case input pay the transform.
@@ -123,6 +123,7 @@ std::string_view DocumentArena::Concat(std::string_view head,
 void DocumentArena::Reset() {
   active_block_ = 0;
   bytes_in_use_ = 0;
+  token_bytes_ = 0;
   if (blocks_.empty()) {
     cursor_ = nullptr;
     block_end_ = nullptr;

@@ -19,6 +19,7 @@
 #ifndef WEBRBD_HTML_ARENA_H_
 #define WEBRBD_HTML_ARENA_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -54,8 +55,19 @@ class TagNameInterner {
   TagNameInterner& operator=(const TagNameInterner&) = delete;
 
   /// Returns the symbol of `name`, interning it on first sight. Returns
-  /// kInvalidTagSymbol when the table is full.
-  TagSymbol Intern(std::string_view name);
+  /// kInvalidTagSymbol when the table is full. A direct-mapped cache of
+  /// recently interned names answers repeats without the hash map: a
+  /// markup-dense page interns the same handful of names hundreds of
+  /// times, and the cache stays warm across DocumentArena::Reset().
+  TagSymbol Intern(std::string_view name) {
+    CacheEntry& entry = cache_[CacheSlot(name)];
+    if (entry.symbol != kInvalidTagSymbol && entry.name == name) {
+      return entry.symbol;
+    }
+    const TagSymbol symbol = InternUncached(name);
+    if (symbol != kInvalidTagSymbol) entry = {names_[symbol], symbol};
+    return symbol;
+  }
 
   /// Lookup without interning; kInvalidTagSymbol when `name` was never
   /// interned.
@@ -77,8 +89,27 @@ class TagNameInterner {
   size_t storage_bytes() const { return storage_bytes_; }
 
  private:
+  struct CacheEntry {
+    std::string_view name;  // views the pool, like names_
+    TagSymbol symbol = kInvalidTagSymbol;
+  };
+  static constexpr size_t kCacheSize = 64;
+
+  // First, second and last byte plus length: enough to spread the markup
+  // vocabulary (td/tt/tr share first byte and length, cite/code first
+  // byte, last byte and length).
+  static size_t CacheSlot(std::string_view name) {
+    if (name.empty()) return 0;
+    const size_t first = static_cast<unsigned char>(name.front());
+    const size_t second = static_cast<unsigned char>(name[name.size() > 1]);
+    const size_t last = static_cast<unsigned char>(name.back());
+    return (first * 31 + second * 11 + last * 7 + name.size()) % kCacheSize;
+  }
+
+  TagSymbol InternUncached(std::string_view name);
   std::string_view Store(std::string_view name);
 
+  std::array<CacheEntry, kCacheSize> cache_{};
   std::unordered_map<std::string_view, TagSymbol> map_;
   std::vector<std::string_view> names_;  // indexed by symbol
   std::vector<std::unique_ptr<char[]>> pools_;
@@ -96,7 +127,7 @@ class DocumentArena {
 
   /// Returns `bytes` of storage aligned to `alignment` (a power of two).
   /// Never fails: block allocation growth is bounded by the caller's
-  /// DocumentLimits::max_arena_bytes checks against bytes_in_use().
+  /// DocumentLimits::max_arena_bytes checks against budget_bytes().
   void* Allocate(size_t bytes, size_t alignment);
 
   /// Constructs a trivially-destructible T in the arena. No destructor
@@ -122,6 +153,18 @@ class DocumentArena {
     return {out, count};
   }
 
+  /// CopyArray for the lexer's per-token arrays (start-tag attributes).
+  /// The bytes count in bytes_in_use() like any allocation but are left
+  /// out of budget_bytes(): max_arena_bytes budgets the tag tree, and
+  /// attributes are bounded by the token and per-tag caps instead.
+  template <typename T>
+  std::span<const T> CopyTokenArray(const T* values, size_t count) {
+    const size_t before = bytes_in_use_;
+    const std::span<const T> out = CopyArray(values, count);
+    token_bytes_ += bytes_in_use_ - before;
+    return out;
+  }
+
   /// Copies `text` into the arena.
   std::string_view CopyString(std::string_view text);
 
@@ -136,6 +179,13 @@ class DocumentArena {
 
   /// Bytes handed out since the last Reset (including alignment padding).
   size_t bytes_in_use() const { return bytes_in_use_; }
+
+  /// What DocumentLimits::max_arena_bytes is checked against: the bytes
+  /// in use less CopyTokenArray's, plus the intern table's pool (which
+  /// survives Reset(), so a worker's distinct names stay charged).
+  size_t budget_bytes() const {
+    return bytes_in_use_ - token_bytes_ + interner_.storage_bytes();
+  }
 
   /// Total block capacity held by the arena.
   size_t bytes_reserved() const { return bytes_reserved_; }
@@ -157,6 +207,7 @@ class DocumentArena {
   std::vector<Block> blocks_;
   size_t active_block_ = 0;  // blocks_ index cursor_ points into
   size_t bytes_in_use_ = 0;
+  size_t token_bytes_ = 0;  // CopyTokenArray's share of bytes_in_use_
   size_t bytes_reserved_ = 0;
   TagNameInterner interner_;
 };

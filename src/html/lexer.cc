@@ -13,10 +13,15 @@
 //   - tokens are zero-copy: name/text/attribute values are string_views of
 //     the source buffer; tag/attribute names are lowercased lazily, with
 //     an arena spill only when the source spelling is mixed-case (counted
-//     in webrbd_html_lexer_name_spills_total).
+//     in webrbd_html_lexer_name_spills_total), and
+//   - tokens are trivially copyable: a start tag's attributes are gathered
+//     in one reused scratch vector and copied once into the arena, and the
+//     token vector is sized up front from a count of '<' bytes, so it
+//     never reallocates.
 
 #include "html/lexer.h"
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <string>
@@ -40,6 +45,7 @@ constexpr uint8_t kSpace = 1;         // space \t \n \r \f \v
 constexpr uint8_t kTagNameChar = 2;   // [A-Za-z0-9:-]
 constexpr uint8_t kAttrNameStop = 4;  // '=' '>' '/' or whitespace
 constexpr uint8_t kAlpha = 8;         // [A-Za-z]
+constexpr uint8_t kUpper = 16;        // [A-Z]
 
 constexpr std::array<uint8_t, 256> BuildCharClasses() {
   std::array<uint8_t, 256> table{};
@@ -47,7 +53,7 @@ constexpr std::array<uint8_t, 256> BuildCharClasses() {
     table[static_cast<uint8_t>(c)] |= kSpace | kAttrNameStop;
   }
   for (int c = 'a'; c <= 'z'; ++c) table[c] |= kTagNameChar | kAlpha;
-  for (int c = 'A'; c <= 'Z'; ++c) table[c] |= kTagNameChar | kAlpha;
+  for (int c = 'A'; c <= 'Z'; ++c) table[c] |= kTagNameChar | kAlpha | kUpper;
   for (int c = '0'; c <= '9'; ++c) table[c] |= kTagNameChar;
   table[static_cast<uint8_t>('-')] |= kTagNameChar;
   table[static_cast<uint8_t>(':')] |= kTagNameChar;
@@ -59,9 +65,9 @@ constexpr std::array<uint8_t, 256> BuildCharClasses() {
 
 constexpr std::array<uint8_t, 256> kCharClass = BuildCharClasses();
 
-inline bool Is(char c, uint8_t mask) {
-  return (kCharClass[static_cast<uint8_t>(c)] & mask) != 0;
-}
+inline uint8_t Class(char c) { return kCharClass[static_cast<uint8_t>(c)]; }
+
+inline bool Is(char c, uint8_t mask) { return (Class(c) & mask) != 0; }
 
 class Lexer {
  public:
@@ -77,13 +83,17 @@ class Lexer {
           " exceeds max_document_bytes " +
           std::to_string(limits_.max_document_bytes));
     }
-    // Pre-size the token vector from the document size. Across the
-    // synthetic corpus one token spans ~21–28 bytes of HTML; reserving
-    // doc/16 overshoots by a modest constant factor, turning the
-    // push_back reallocation cascade (and its token moves, ~15% of lex
-    // time when it triggers) into a single allocation for virtually
-    // every real document.
-    tokens_.reserve(doc_.size() / 16 + 4);
+    // Size the token vector exactly once. Every markup token starts at a
+    // distinct '<', and every text token is followed by a markup token or
+    // ends the document, so 2 * count('<') + 1 bounds the stream. Bytes
+    // per token say nothing useful: prose runs ~21-28 bytes per token, a
+    // markup-dense template page 5.5. The clamp keeps a document that is
+    // all '<' from reserving far past the token cap before it trips.
+    size_t bound = 2 * swar::CountByte(doc_, '<') + 1;
+    if (limits_.max_tokens != 0) {
+      bound = std::min(bound, limits_.max_tokens + 1);
+    }
+    tokens_.reserve(bound);
     while (pos_ < doc_.size()) {
       if (LimitExceeded(tokens_.size(), limits_.max_tokens)) {
         obs::Robust().trip_tokens->Increment();
@@ -104,11 +114,11 @@ class Lexer {
   }
 
  private:
-  /// The lazy-lowercase step: already-lowercase source bytes (checked
-  /// word-at-a-time) are viewed in place; mixed-case names are lowercased
-  /// into the arena once and the copy viewed instead.
-  std::string_view LowerName(std::string_view raw) {
-    if (!ContainsAsciiUpper(raw)) return raw;
+  /// The lazy-lowercase step: already-lowercase source bytes are viewed in
+  /// place; mixed-case names (`seen` holds kUpper) are lowercased into the
+  /// arena once and the copy viewed instead.
+  std::string_view LowerName(std::string_view raw, uint8_t seen) {
+    if ((seen & kUpper) == 0) return raw;
     ++name_spills_;
     char* out = static_cast<char*>(arena_.Allocate(raw.size(), 1));
     for (size_t i = 0; i < raw.size(); ++i) {
@@ -136,8 +146,14 @@ class Lexer {
     }
     bool is_end = next == '/';
     size_t name_start = start + (is_end ? 2 : 1);
+    // `seen` ORs the classes of the name's bytes: kUpper in it means the
+    // name needs lowercasing, known without a second pass.
+    uint8_t seen = 0;
     size_t i = name_start;
-    while (i < doc_.size() && Is(doc_[i], kTagNameChar)) ++i;
+    for (uint8_t cls;
+         i < doc_.size() && ((cls = Class(doc_[i])) & kTagNameChar); ++i) {
+      seen |= cls;
+    }
     std::string_view raw_name = doc_.substr(name_start, i - name_start);
     // The scan above only consumed [A-Za-z0-9:-] bytes, so IsValidTagName
     // reduces to "non-empty and starts with a letter" — checked inline on
@@ -151,7 +167,7 @@ class Lexer {
     // so the reference stays valid while attributes are filled in.
     HtmlToken& token = tokens_.emplace_back();
     token.kind = is_end ? HtmlToken::Kind::kEndTag : HtmlToken::Kind::kStartTag;
-    token.name = LowerName(raw_name);
+    token.name = LowerName(raw_name, seen);
     token.begin = start;
     pos_ = i;
     if (!is_end) {
@@ -169,11 +185,14 @@ class Lexer {
     return true;
   }
 
+  // Gathers the tag's attributes in attrs_scratch_, then copies them into
+  // the arena once.
   void LexAttributes(HtmlToken* token) {
+    attrs_scratch_.clear();
     bool attrs_tripped = false;
     for (;;) {
       while (pos_ < doc_.size() && Is(doc_[pos_], kSpace)) ++pos_;
-      if (pos_ >= doc_.size() || doc_[pos_] == '>') return;
+      if (pos_ >= doc_.size() || doc_[pos_] == '>') break;
       if (doc_[pos_] == '/') {
         // Possible XML-style self-closing slash.
         size_t slash = pos_;
@@ -181,16 +200,21 @@ class Lexer {
         while (pos_ < doc_.size() && Is(doc_[pos_], kSpace)) ++pos_;
         if (pos_ < doc_.size() && doc_[pos_] == '>') {
           token->self_closing = true;
-          return;
+          break;
         }
         pos_ = slash + 1;  // stray slash; skip it
         continue;
       }
       // Attribute name.
-      size_t name_start = pos_;
-      while (pos_ < doc_.size() && !Is(doc_[pos_], kAttrNameStop)) ++pos_;
+      const size_t name_start = pos_;
+      uint8_t seen = 0;
+      for (uint8_t cls; pos_ < doc_.size() &&
+                        !((cls = Class(doc_[pos_])) & kAttrNameStop);
+           ++pos_) {
+        seen |= cls;
+      }
       HtmlAttribute attr;
-      attr.name = LowerName(doc_.substr(name_start, pos_ - name_start));
+      attr.name = LowerName(doc_.substr(name_start, pos_ - name_start), seen);
       while (pos_ < doc_.size() && Is(doc_[pos_], kSpace)) ++pos_;
       if (pos_ < doc_.size() && doc_[pos_] == '=') {
         ++pos_;
@@ -224,7 +248,7 @@ class Lexer {
         }
       }
       if (attr.name.empty()) continue;
-      if (LimitExceeded(token->attrs.size() + 1,
+      if (LimitExceeded(attrs_scratch_.size() + 1,
                         limits_.max_attributes_per_tag)) {
         // Recoverable cap: parse (to keep positions in sync) but drop.
         if (!attrs_tripped) {
@@ -233,8 +257,10 @@ class Lexer {
         }
         continue;
       }
-      token->attrs.push_back(attr);
+      attrs_scratch_.push_back(attr);
     }
+    token->attrs =
+        arena_.CopyTokenArray(attrs_scratch_.data(), attrs_scratch_.size());
   }
 
   // Scans a bare attribute value (up to the next space or '>'), storing at
@@ -357,6 +383,7 @@ class Lexer {
   size_t text_start_ = std::string_view::npos;
   uint64_t name_spills_ = 0;
   std::vector<HtmlToken> tokens_;
+  std::vector<HtmlAttribute> attrs_scratch_;  // one tag's, reused
 };
 
 }  // namespace

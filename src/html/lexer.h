@@ -24,11 +24,13 @@ namespace webrbd {
 /// swallowing the rest of the document. <script>/<style> bodies are
 /// consumed as raw text.
 ///
-/// ZERO-COPY: the returned tokens BORROW `document` (and `arena`, for the
-/// rare mixed-case tag-name spill — see html/token.h). The caller must keep
-/// both alive for as long as it uses the tokens; `document` must therefore
-/// be stable storage, not a temporary. Hot paths scan word-at-a-time via
-/// util/swar.h (SSE2/NEON under the WEBRBD_SIMD build option).
+/// ZERO-COPY: the returned tokens BORROW `document` and `arena` (which
+/// holds each start tag's attribute array and the rare mixed-case name
+/// spill — see html/token.h). The caller must keep both alive, and the
+/// arena un-Reset(), for as long as it uses the tokens; `document` must
+/// therefore be stable storage, not a temporary. Hot paths scan
+/// word-at-a-time via util/swar.h (SSE2/NEON under the WEBRBD_SIMD build
+/// option).
 ///
 /// The lexer never fails on document *shape* — only on documents that
 /// exceed the fatal DocumentLimits caps (document bytes, token count),

@@ -3,9 +3,7 @@
 #include "html/tree_builder.h"
 
 #include <algorithm>
-#include <array>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,65 +26,6 @@ struct BalancedStream {
   std::vector<HtmlToken> tokens;
   std::vector<TagSymbol> symbols;
 };
-
-struct OpenTag {
-  TagSymbol symbol = kInvalidTagSymbol;
-  size_t token_index = 0;  // index of the start tag in the filtered stream
-};
-
-// Answers "first surviving tag at or after index i" in amortized
-// near-constant time. skip_[i] starts as the nearest tag at or after i
-// (discarded or not); Resolve() hops over tags discarded since then and
-// path-compresses the hops, so repeated queries never rescan a stretch of
-// discarded tags. Discards are permanent, which keeps the compressed links
-// valid: everything strictly between a link's source and target is, and
-// stays, discarded. This replaces a forward rescan per unclosed tag that
-// made Step 2 O(n^2) on stray-end-tag / unclosed-tag storms.
-class SurvivingTagIndex {
- public:
-  SurvivingTagIndex(const std::vector<HtmlToken>& tokens,
-                    const std::vector<bool>& discard)
-      : discard_(discard), skip_(tokens.size() + 1) {
-    skip_[tokens.size()] = tokens.size();
-    for (size_t i = tokens.size(); i-- > 0;) {
-      skip_[i] = tokens[i].IsTag() ? i : skip_[i + 1];
-    }
-  }
-
-  /// Index of the first non-discarded tag at or after `from`, or
-  /// tokens.size() when none remains.
-  size_t Resolve(size_t from) {
-    path_.clear();
-    size_t i = from;
-    size_t j = skip_[i];
-    while (j < discard_.size() && discard_[j]) {
-      path_.push_back(i);
-      i = j + 1;
-      j = skip_[i];
-    }
-    for (size_t p : path_) skip_[p] = j;
-    return j;
-  }
-
- private:
-  const std::vector<bool>& discard_;
-  std::vector<size_t> skip_;
-  std::vector<size_t> path_;  // reused across queries
-};
-
-HtmlToken SyntheticEndTag(const std::vector<HtmlToken>& tokens,
-                          std::string_view name, size_t insert_before) {
-  HtmlToken token;
-  token.kind = HtmlToken::Kind::kEndTag;
-  token.name = name;
-  token.synthetic = true;
-  size_t offset = insert_before < tokens.size() ? tokens[insert_before].begin
-                  : tokens.empty()              ? 0
-                                   : tokens.back().end;
-  token.begin = offset;
-  token.end = offset;
-  return token;
-}
 
 Status InternOverflow() {
   obs::Robust().trip_arena_bytes->Increment();
@@ -112,216 +51,163 @@ Status ArenaBudgetExceeded(const robust::DocumentLimits& limits) {
 // nested. An unclosed tag's synthesized end-tag is placed just before the
 // next tag after its start-tag, which is exactly the paper's region rule.
 //
-// Near-linear by construction: matching an end tag consults a per-symbol
-// index of open-stack positions (instead of scanning the whole stack), and
-// placing a synthesized end tag consults the path-compressed
-// SurvivingTagIndex (instead of rescanning the token stream).
-Result<BalancedStream> BalanceTokens(std::vector<HtmlToken> raw,
+// One left-to-right pass compacts the lexer's own vector in place: it drops
+// comments / declarations / processing instructions (the paper's "useless"
+// <!... tags) and end tags with no open start, interns every tag name, and
+// walks the open-element stack. Matching an end tag uses the paper's table
+// of linked lists: innermost[symbol] is the stack position of the innermost
+// open frame of that symbol, and each frame links to the next-outer open
+// frame of its symbol. Every synthesized end tag (an unclosed tag's, or a
+// self-closing tag's) is recorded as an insertion into the compacted
+// stream, and one backward merge moves each surviving token at most once.
+//
+// Linear: a useless end tag leaves the stream as soon as it is read, so an
+// unclosed tag's end lands before the first tag after it in the compacted
+// stream, found by scanning only the text between the two — and those
+// stretches are disjoint across tags.
+Result<BalancedStream> BalanceTokens(std::vector<HtmlToken> tokens,
                                      DocumentArena& arena,
                                      const robust::DocumentLimits& limits) {
   TagNameInterner& interner = arena.interner();
-  // Direct-mapped memo in front of the interner's hash map: a
-  // markup-dense page interns the same handful of names hundreds of
-  // times, and the per-call map lookup is the single largest cost of this
-  // whole pass. Keyed by (first byte, length) — a collision or a cold
-  // name just falls through to the real Intern, so the memo can only
-  // return symbols the interner itself produced.
-  struct InternMemoEntry {
-    std::string_view name;
-    TagSymbol symbol = kInvalidTagSymbol;
-  };
-  std::array<InternMemoEntry, 32> intern_memo;
-
-  // Discard comments / declarations / processing instructions up front
-  // (the paper's "useless" <!... tags), expand self-closing tags, and
-  // intern every surviving tag name. The merge below may append a few
-  // synthesized end tags; the extra headroom lets the in-place path run
-  // without a mid-stream reallocation on typical markup.
-  std::vector<HtmlToken> tokens;
-  std::vector<TagSymbol> symbols;
-  const size_t headroom = raw.size() + raw.size() / 16 + 8;
-  tokens.reserve(headroom);
-  symbols.reserve(headroom);
-  for (HtmlToken& token : raw) {
-    if (token.kind == HtmlToken::Kind::kComment ||
-        token.kind == HtmlToken::Kind::kProcessing) {
-      continue;
-    }
-    TagSymbol symbol = kInvalidTagSymbol;
-    if (token.IsTag()) {
-      // First byte, last byte, and length — enough to spread the markup
-      // vocabulary (notably td/tt/tr, which share first byte and length).
-      const size_t first = static_cast<unsigned char>(
-          token.name.empty() ? 0 : token.name.front());
-      const size_t last = static_cast<unsigned char>(
-          token.name.empty() ? 0 : token.name.back());
-      const size_t slot =
-          (first * 31 + last * 7 + token.name.size()) % intern_memo.size();
-      InternMemoEntry& memo = intern_memo[slot];
-      if (memo.name == token.name) {
-        symbol = memo.symbol;
-      } else {
-        const size_t names_before = interner.size();
-        symbol = interner.Intern(token.name);
-        if (symbol == kInvalidTagSymbol) return InternOverflow();
-        if (interner.size() != names_before &&
-            robust::LimitExceeded(
-                arena.bytes_in_use() + interner.storage_bytes(),
-                limits.max_arena_bytes)) {
-          return ArenaBudgetExceeded(limits);
-        }
-        memo = {token.name, symbol};
-      }
-    }
-    if (token.kind == HtmlToken::Kind::kStartTag && token.self_closing) {
-      HtmlToken end;
-      end.kind = HtmlToken::Kind::kEndTag;
-      end.name = token.name;
-      end.synthetic = true;
-      end.begin = token.end;
-      end.end = token.end;
-      token.self_closing = false;
-      tokens.push_back(std::move(token));
-      symbols.push_back(symbol);
-      tokens.push_back(std::move(end));
-      symbols.push_back(symbol);
-      continue;
-    }
-    tokens.push_back(std::move(token));
-    symbols.push_back(symbol);
-  }
-
-  std::vector<OpenTag> stack;
-  // Stack positions of each currently-open tag symbol, in increasing
-  // order; back() is the innermost open tag of that symbol. Indexed by
-  // symbol — the intern table keeps these ids dense.
-  std::vector<std::vector<size_t>> open_by_symbol;
-  // (insert_before token index, synthesized end tag) pairs, collected in
-  // close order and stable-sorted by index before the merge — same-index
-  // ends keep their close order.
-  struct PendingEnd {
-    HtmlToken token;
+  constexpr size_t kNone = static_cast<size_t>(-1);
+  struct OpenTag {
+    size_t token_index;  // the start tag's index in the compacted stream
+    size_t previous;     // next-outer open frame of this symbol, or kNone
     TagSymbol symbol;
   };
-  std::vector<std::pair<size_t, PendingEnd>> insertions;
-  std::vector<bool> discard(tokens.size(), false);
-  size_t discarded = 0;
-  // Built lazily: an unclosed tag's end usually lands a token or two past
-  // its start (void <hr>/<br> markup), found by a short forward scan. The
-  // path-compressed index is only materialized when a scan would
-  // degenerate — long discarded stretches from stray-end-tag storms.
-  std::optional<SurvivingTagIndex> surviving;
+  std::vector<OpenTag> stack;
+  std::vector<size_t> innermost;  // by symbol; kNone when none is open
 
-  auto resolve_surviving = [&](size_t from) {
-    const size_t scan_limit = std::min(tokens.size(), from + 64);
-    for (size_t j = from; j < scan_limit; ++j) {
-      if (tokens[j].IsTag() && !discard[j]) return j;
+  // A synthesized end tag, to be placed before compacted token `at`.
+  struct PendingEnd {
+    size_t at;
+    size_t offset;
+    std::string_view name;
+    TagSymbol symbol;
+  };
+  std::vector<PendingEnd> insertions;
+
+  // Sized for the raw stream up front (room for the merge reserved too),
+  // so the walk stores symbols without a capacity check per token.
+  std::vector<TagSymbol> symbols;
+  symbols.reserve(tokens.capacity());
+  symbols.resize(tokens.size());
+  size_t write = 0;     // compacted stream is tokens[0, write)
+  size_t last_end = 0;  // end of the last token that is not a comment
+  // Appends tokens[read] to the compacted stream; until the first drop the
+  // two coincide and nothing is copied.
+  auto keep = [&](size_t read, TagSymbol symbol) {
+    if (write != read) tokens[write] = tokens[read];
+    symbols[write] = symbol;
+    return write++;
+  };
+
+  // Closes `open` without a matching end tag: its end goes just before
+  // the first tag after it among tokens[0, limit), or at the end of the
+  // document when there is none.
+  auto close_unmatched = [&](const OpenTag& open, size_t limit) {
+    size_t at = open.token_index + 1;
+    while (at < limit && tokens[at].kind == HtmlToken::Kind::kText) ++at;
+    insertions.push_back(
+        PendingEnd{at, at < limit ? tokens[at].begin : last_end,
+                   tokens[open.token_index].name, open.symbol});
+  };
+
+  for (size_t read = 0; read < tokens.size(); ++read) {
+    const HtmlToken::Kind kind = tokens[read].kind;
+    if (kind == HtmlToken::Kind::kComment ||
+        kind == HtmlToken::Kind::kProcessing) {
+      continue;
     }
-    if (scan_limit == tokens.size()) return tokens.size();
-    if (!surviving.has_value()) surviving.emplace(tokens, discard);
-    return surviving->Resolve(from);
-  };
+    last_end = tokens[read].end;
+    if (kind == HtmlToken::Kind::kText) {
+      keep(read, kInvalidTagSymbol);
+      continue;
+    }
 
-  auto close_unmatched = [&](const OpenTag& open) {
-    size_t at = resolve_surviving(open.token_index + 1);
-    insertions.emplace_back(
-        at, PendingEnd{
-                SyntheticEndTag(tokens, tokens[open.token_index].name, at),
-                open.symbol});
-  };
+    const size_t names_before = interner.size();
+    const TagSymbol symbol = interner.Intern(tokens[read].name);
+    if (symbol == kInvalidTagSymbol) return InternOverflow();
+    if (interner.size() != names_before &&
+        robust::LimitExceeded(arena.budget_bytes(), limits.max_arena_bytes)) {
+      return ArenaBudgetExceeded(limits);
+    }
 
-  for (size_t i = 0; i < tokens.size(); ++i) {
-    const HtmlToken& token = tokens[i];
-    if (token.kind == HtmlToken::Kind::kStartTag) {
-      const TagSymbol symbol = symbols[i];
-      if (symbol >= open_by_symbol.size()) open_by_symbol.resize(symbol + 1);
-      open_by_symbol[symbol].push_back(stack.size());
-      stack.push_back(OpenTag{symbol, i});
-    } else if (token.kind == HtmlToken::Kind::kEndTag) {
-      // Innermost open tag of the same symbol, if any.
-      const TagSymbol symbol = symbols[i];
-      if (symbol >= open_by_symbol.size() || open_by_symbol[symbol].empty()) {
-        discard[i] = true;  // end tag with no corresponding start: useless
-        ++discarded;
+    if (kind == HtmlToken::Kind::kStartTag) {
+      const size_t at = keep(read, symbol);
+      if (tokens[at].self_closing) {
+        // <x/> is <x></x>: its end goes right after it, and a start that
+        // closes itself never changes the stack.
+        tokens[at].self_closing = false;
+        insertions.push_back(
+            PendingEnd{at + 1, tokens[at].end, tokens[at].name, symbol});
         continue;
       }
-      size_t match = open_by_symbol[symbol].back();
-      // Pop everything above the match (synthesizing their end tags,
-      // innermost first) plus the match itself, unindexing each popped
-      // entry: the entry being popped is always the innermost — and thus
-      // the last-indexed — occurrence of its symbol.
-      for (size_t s = stack.size(); s-- > match;) {
-        open_by_symbol[stack[s].symbol].pop_back();
-        if (s > match) close_unmatched(stack[s]);
-      }
-      stack.resize(match);
+      if (symbol >= innermost.size()) innermost.resize(symbol + 1, kNone);
+      stack.push_back(OpenTag{at, innermost[symbol], symbol});
+      innermost[symbol] = stack.size() - 1;
+      continue;
     }
+
+    // End tag: the innermost open tag of the same symbol, if any.
+    if (symbol >= innermost.size() || innermost[symbol] == kNone) {
+      continue;  // end tag with no corresponding start: useless
+    }
+    keep(read, symbol);
+    // Pop everything above the match (synthesizing their end tags,
+    // innermost first) plus the match itself, unlinking each popped frame.
+    const size_t match = innermost[symbol];
+    for (size_t s = stack.size(); s-- > match;) {
+      innermost[stack[s].symbol] = stack[s].previous;
+      if (s > match) close_unmatched(stack[s], write);
+    }
+    stack.resize(match);
   }
   // Tags still open at end of input.
   for (size_t s = stack.size(); s-- > 0;) {
-    close_unmatched(stack[s]);
+    close_unmatched(stack[s], write);
   }
 
-  // Already balanced (nothing discarded, nothing synthesized): the
-  // filtered stream IS the result — no merge pass, no re-copy.
-  if (insertions.empty() && discarded == 0) {
+  if (insertions.empty()) {
+    tokens.resize(write);
+    symbols.resize(write);
     return BalancedStream{std::move(tokens), std::move(symbols)};
   }
 
-  // Merge: emit synthesized ends scheduled before each index, then the
-  // surviving original token. Two sorted streams, one pointer walk.
+  // Merge back to front, inside the same vector: each synthesized end is
+  // written before the token it was scheduled in front of, and every
+  // surviving token moves at most once. Writing from the back keeps every
+  // unread token ahead of the write cursor. Same-index insertions keep
+  // their close order (stable sort), walked from the back. Every `at` is
+  // at least 1 (an end follows its start), so the walk stops before i
+  // reaches 0.
   std::stable_sort(
       insertions.begin(), insertions.end(),
-      [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  // Nothing discarded and room reserved: merge IN PLACE, shifting the
-  // tail backward past each insertion point instead of re-copying the
-  // whole stream into fresh vectors. Writing back-to-front keeps every
-  // unread original ahead of the write cursor, and same-index insertions
-  // — ascending in the sorted vector — are emitted in order by walking
-  // them from the back.
-  if (discarded == 0 &&
-      tokens.capacity() >= tokens.size() + insertions.size()) {
-    const size_t original = tokens.size();
-    tokens.resize(original + insertions.size());
-    symbols.resize(original + insertions.size());
-    size_t write = tokens.size();
-    size_t pending = insertions.size();
-    for (size_t i = original;; --i) {
-      while (pending > 0 && insertions[pending - 1].first == i) {
-        --pending;
-        --write;
-        tokens[write] = std::move(insertions[pending].second.token);
-        symbols[write] = insertions[pending].second.symbol;
-      }
-      if (i == 0) break;
-      --write;
-      if (write != i - 1) {
-        tokens[write] = std::move(tokens[i - 1]);
-        symbols[write] = symbols[i - 1];
-      }
+      [](const PendingEnd& a, const PendingEnd& b) { return a.at < b.at; });
+  const size_t total = write + insertions.size();
+  if (total > tokens.capacity()) tokens.reserve(total);  // exact, one move
+  tokens.resize(total);
+  symbols.resize(total);
+  size_t out = total;
+  size_t pending = insertions.size();
+  for (size_t i = write; pending > 0; --i) {
+    while (pending > 0 && insertions[pending - 1].at == i) {
+      const PendingEnd& end = insertions[--pending];
+      HtmlToken& token = tokens[--out];
+      token = HtmlToken{};
+      token.kind = HtmlToken::Kind::kEndTag;
+      token.name = end.name;
+      token.synthetic = true;
+      token.begin = end.offset;
+      token.end = end.offset;
+      symbols[out] = end.symbol;
     }
-    return BalancedStream{std::move(tokens), std::move(symbols)};
+    if (pending == 0) break;  // everything before i is already in place
+    --out;
+    tokens[out] = tokens[i - 1];
+    symbols[out] = symbols[i - 1];
   }
-
-  BalancedStream balanced;
-  balanced.tokens.reserve(tokens.size() + insertions.size());
-  balanced.symbols.reserve(tokens.size() + insertions.size());
-  size_t next_insertion = 0;
-  for (size_t i = 0; i <= tokens.size(); ++i) {
-    while (next_insertion < insertions.size() &&
-           insertions[next_insertion].first == i) {
-      PendingEnd& end = insertions[next_insertion].second;
-      balanced.tokens.push_back(std::move(end.token));
-      balanced.symbols.push_back(end.symbol);
-      ++next_insertion;
-    }
-    if (i < tokens.size() && !discard[i]) {
-      balanced.tokens.push_back(std::move(tokens[i]));
-      balanced.symbols.push_back(symbols[i]);
-    }
-  }
-  return balanced;
+  return BalancedStream{std::move(tokens), std::move(symbols)};
 }
 
 // --- Step 3: build the tree from the balanced stream ----------------------
@@ -375,15 +261,14 @@ Result<TagNode*> BuildFromBalanced(DocumentArena& arena,
               "tag nesting exceeds max_tree_depth " +
               std::to_string(limits.max_tree_depth));
         }
-        if (robust::LimitExceeded(
-                arena.bytes_in_use() + arena.interner().storage_bytes(),
-                limits.max_arena_bytes)) {
+        if (robust::LimitExceeded(arena.budget_bytes(),
+                                  limits.max_arena_bytes)) {
           return ArenaBudgetExceeded(limits);
         }
         TagNode* node = arena.New<TagNode>();
         node->symbol = stream.symbols[i];
         node->name = arena.interner().NameOf(node->symbol);
-        node->attrs = {token.attrs.data(), token.attrs.size()};
+        node->attrs = token.attrs;
         node->region_begin = token.begin;
         node->token_begin = i;
         node->parent = stack.back().node;
@@ -440,9 +325,7 @@ Result<TagNode*> BuildFromBalanced(DocumentArena& arena,
   // Final budget check: child-span copies and text spans land at CLOSE
   // time, after the last per-start-tag check, so a document can finish
   // over budget without ever tripping mid-build.
-  if (robust::LimitExceeded(
-          arena.bytes_in_use() + arena.interner().storage_bytes(),
-          limits.max_arena_bytes)) {
+  if (robust::LimitExceeded(arena.budget_bytes(), limits.max_arena_bytes)) {
     return ArenaBudgetExceeded(limits);
   }
   return root;

@@ -13,8 +13,9 @@
 //     (`nodes_.push_back(node)`).
 //
 // "Borrowed" is tracked per function: TagNode*/& and HtmlToken*/&
-// parameters and locals, plus locals of view type (string_view / auto)
-// initialized from a borrowed value. An assignment only counts when the borrowed variable is
+// parameters and locals, plus locals of view type (string_view / auto /
+// std::span<const HtmlAttribute>) initialized from a borrowed value. An
+// assignment only counts when the borrowed variable is
 // the ROOT of the stored expression (`node`, `&node`, `node->text`,
 // `node->text()`), so scalar derivations (`CountNodes(node)`,
 // `node->children().size()`) pass.
@@ -201,12 +202,18 @@ class ArenaEscapeRule : public Rule {
 
   /// True when the identifier at code-index `name_ci` is being DECLARED
   /// with a view-ish type: the preceding tokens are `auto`, `string_view`,
-  /// `TagNode` + `*`/`&`, or a `const` variant thereof.
+  /// `TagNode`/`HtmlToken` + `*`/`&`, `span<const HtmlAttribute>` (a
+  /// token's arena-backed attributes), or a `const` variant thereof.
   bool IsViewDeclaration(const FileAnalysis& fa, size_t name_ci) const {
     if (name_ci == 0) return false;
     size_t p = name_ci - 1;
     std::string_view t = fa.CodeText(p);
     if ((t == "*" || t == "&") && p > 0) t = fa.CodeText(--p);
+    if (t == ">" && p >= 3 && fa.CodeText(p - 1) == "HtmlAttribute") {
+      p -= 2;
+      if (fa.CodeText(p) == "const" && p > 0) --p;
+      return fa.CodeText(p) == "<" && p > 0 && fa.CodeText(p - 1) == "span";
+    }
     return t == "auto" || t == "string_view" || t == "TagNode" ||
            t == "HtmlToken";
   }

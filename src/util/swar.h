@@ -5,7 +5,9 @@
 // occurrence of one or two delimiter bytes 8 bytes per iteration (16 with
 // SSE2/NEON under the WEBRBD_SIMD build option) instead of one, which is
 // what lets the lexer consume text runs, raw-text bodies, and quoted
-// attribute values as single bulk scans.
+// attribute values as single bulk scans. CountByte counts one byte value
+// the same way (16 bytes at a time with SSE2); the lexer sizes its token
+// vector from it.
 //
 // The portable core is the classic zero-byte trick: for a 64-bit word v,
 //
@@ -148,10 +150,47 @@ inline size_t FindEither(std::string_view s, size_t from, char a, char b) {
   return i;
 }
 
-/// True iff `s` contains an ASCII uppercase letter [A-Z]. The lexer's
-/// lazy-lowercasing fast check: tag and attribute names in real markup are
-/// overwhelmingly already lowercase, and this answers that 8 bytes at a
-/// time without touching the heap.
+/// Number of `needle` bytes in `s`. The lexer's sizing pass: one count of
+/// '<' bounds the token stream before lexing starts. No popcount: the
+/// baseline x86-64 target has no POPCNT instruction, and the library call
+/// the builtin becomes costs more than the scan. The SSE2 loop instead
+/// subtracts each compare mask (-1 per match) into byte lanes and sums
+/// them with SAD every 255 chunks; the word loop uses an exact per-byte
+/// zero test (unlike ZeroBytes, whose borrow can flag a byte above a true
+/// zero) and adds its 0/1 bytes up with one multiply.
+inline size_t CountByte(std::string_view s, char needle) {
+  const char* data = s.data();
+  size_t i = 0;
+  size_t count = 0;
+#if defined(WEBRBD_SWAR_SSE2)
+  const __m128i pattern16 = _mm_set1_epi8(needle);
+  while (i + 16 <= s.size()) {
+    __m128i lanes = _mm_setzero_si128();
+    for (int chunk = 0; chunk < 255 && i + 16 <= s.size(); ++chunk, i += 16) {
+      const __m128i bytes =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + i));
+      lanes = _mm_sub_epi8(lanes, _mm_cmpeq_epi8(bytes, pattern16));
+    }
+    const __m128i sums = _mm_sad_epu8(lanes, _mm_setzero_si128());
+    count += static_cast<size_t>(_mm_cvtsi128_si32(sums)) +
+             static_cast<size_t>(_mm_extract_epi16(sums, 4));
+  }
+#endif
+  const uint64_t pattern = internal::Broadcast(needle);
+  const uint64_t low7 = ~internal::kHighs;
+  for (; i + 8 <= s.size(); i += 8) {
+    const uint64_t t = internal::LoadWord(data + i) ^ pattern;
+    const uint64_t zero = ~(((t & low7) + low7) | t) & internal::kHighs;
+    count += static_cast<size_t>(((zero >> 7) * internal::kOnes) >> 56);
+  }
+  for (; i < s.size(); ++i) count += data[i] == needle ? 1 : 0;
+  return count;
+}
+
+/// True iff `s` contains an ASCII uppercase letter [A-Z]. The fast check
+/// in front of AsciiToLower and the tag-name interner: names in real
+/// markup are overwhelmingly already lowercase, and this answers that 8
+/// bytes at a time without touching the heap.
 inline bool ContainsAsciiUpper(std::string_view s) {
   const char* data = s.data();
   size_t i = 0;

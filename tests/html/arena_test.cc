@@ -48,6 +48,51 @@ TEST(TagNameInternerTest, NameBytesAreOwnedByTheInterner) {
   EXPECT_EQ(interner.NameOf(symbol), "blockquote");
 }
 
+TEST(TagNameInternerTest, CacheNeverConfusesCollidingNames) {
+  // 676 two-letter names over a 64-slot cache: many share a slot and a
+  // length, so every repeat below is either a cache hit on the right name
+  // or a miss — never another name's symbol. Mixed-case spellings map to
+  // the lowercase symbol.
+  TagNameInterner interner;
+  std::vector<std::string> names;
+  for (char a = 'a'; a <= 'z'; ++a) {
+    for (char b = 'a'; b <= 'z'; ++b) names.push_back({a, b});
+  }
+  std::vector<TagSymbol> symbols;
+  for (const std::string& name : names) {
+    symbols.push_back(interner.Intern(name));
+  }
+  for (int round = 0; round < 3; ++round) {
+    for (size_t i = 0; i < names.size(); ++i) {
+      const size_t j = (i * 7 + static_cast<size_t>(round)) % names.size();
+      ASSERT_EQ(interner.Intern(names[j]), symbols[j]) << names[j];
+      ASSERT_EQ(interner.NameOf(symbols[j]), names[j]);
+    }
+  }
+  EXPECT_EQ(interner.Intern("QZ"), interner.Intern("qz"));
+  EXPECT_EQ(interner.size(), names.size());
+}
+
+TEST(DocumentArenaTest, TokenArraysAreLeftOutOfTheBudget) {
+  // CopyTokenArray's bytes are in use but not charged to max_arena_bytes;
+  // every other allocation is, and the intern pool is added on top.
+  DocumentArena arena;
+  const uint64_t values[] = {1, 2, 3};
+  arena.CopyArray(values, 3);
+  const size_t charged = arena.bytes_in_use();
+  EXPECT_EQ(arena.budget_bytes(), charged);
+  std::span<const uint64_t> token = arena.CopyTokenArray(values, 3);
+  ASSERT_EQ(token.size(), 3u);
+  EXPECT_EQ(token[2], 3u);
+  EXPECT_GT(arena.bytes_in_use(), charged);
+  EXPECT_EQ(arena.budget_bytes(), charged);
+  arena.interner().Intern("p");
+  EXPECT_EQ(arena.budget_bytes(),
+            charged + arena.interner().storage_bytes());
+  arena.Reset();
+  EXPECT_EQ(arena.budget_bytes(), arena.interner().storage_bytes());
+}
+
 TEST(DocumentArenaTest, AllocationsAreAlignedAndDisjoint) {
   DocumentArena arena;
   std::vector<std::pair<char*, size_t>> blocks;

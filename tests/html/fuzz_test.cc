@@ -7,73 +7,21 @@
 #include <gtest/gtest.h>
 
 #include "fuzz/fuzz_util.h"
+#include "fuzz/tag_soup.h"
 #include "html/arena.h"
 #include "html/lexer.h"
 #include "html/tree_builder.h"
 #include "legacy_lexer_baseline.h"
-#include "util/rng.h"
 
 namespace webrbd {
 namespace {
-
-// Generates adversarial pseudo-HTML: random nesting, stray brackets,
-// unclosed/overclosed tags, comments, attribute junk.
-std::string RandomTagSoup(Rng* rng, size_t target_size) {
-  static const char* kNames[] = {"a", "b",  "td", "tr",    "table", "p",
-                                 "hr", "br", "h1", "font",  "div",  "x-y"};
-  static const char* kJunk[] = {
-      "< not a tag", ">", "<<", "&amp;", "<!-- comment <b> -->",
-      "<!DOCTYPE html>", "<?php echo ?>", "plain words here ",
-      "\"quotes\" and 'more' ", "<>", "</>", "1998 ",
-  };
-  std::string out;
-  std::vector<std::string> open;
-  while (out.size() < target_size) {
-    switch (rng->Below(8)) {
-      case 0:
-      case 1: {  // open a tag, sometimes with attributes
-        std::string name = kNames[rng->Below(12)];
-        out += "<" + name;
-        if (rng->Chance(0.3)) out += " attr=\"v>v\"";
-        if (rng->Chance(0.2)) out += " bare";
-        if (rng->Chance(0.1)) out += "/";
-        out += ">";
-        open.push_back(std::move(name));
-        break;
-      }
-      case 2: {  // close the innermost open tag
-        if (!open.empty()) {
-          out += "</" + open.back() + ">";
-          open.pop_back();
-        }
-        break;
-      }
-      case 3: {  // close a random (possibly mismatched) tag
-        out += std::string("</") + kNames[rng->Below(12)] + ">";
-        break;
-      }
-      case 4:
-      case 5:
-        out += "text ";
-        break;
-      case 6:
-        out += kJunk[rng->Below(12)];
-        break;
-      case 7:  // truncated tag
-        if (rng->Chance(0.3)) out += "<b";
-        else out += "word ";
-        break;
-    }
-  }
-  return out;
-}
 
 class TagSoupFuzzTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(TagSoupFuzzTest, LexerCoversEveryByteInOrder) {
   const uint64_t seed = static_cast<uint64_t>(GetParam()) * 7919 + 13;
   Rng rng(seed);
-  const std::string doc = RandomTagSoup(&rng, 2000);
+  const std::string doc = fuzz::RandomTagSoup(&rng, 2000);
   SCOPED_TRACE("rng seed=" + std::to_string(seed));
   SCOPED_TRACE(fuzz::SeedTrace(GetParam(), doc));
   DocumentArena arena;
@@ -114,7 +62,7 @@ TEST_P(TagSoupFuzzTest, LexerCoversEveryByteInOrder) {
 TEST_P(TagSoupFuzzTest, TreeBuilderBalancesAnySoup) {
   const uint64_t seed = static_cast<uint64_t>(GetParam()) * 104729 + 7;
   Rng rng(seed);
-  const std::string doc = RandomTagSoup(&rng, 3000);
+  const std::string doc = fuzz::RandomTagSoup(&rng, 3000);
   SCOPED_TRACE("rng seed=" + std::to_string(seed));
   SCOPED_TRACE(fuzz::SeedTrace(GetParam(), doc));
   auto tree = BuildTagTree(doc);
@@ -167,7 +115,7 @@ TEST_P(TagSoupFuzzTest, TreeBuilderBalancesAnySoup) {
 TEST_P(TagSoupFuzzTest, BuildIsDeterministic) {
   const uint64_t seed = static_cast<uint64_t>(GetParam()) * 31 + 1;
   Rng rng(seed);
-  const std::string doc = RandomTagSoup(&rng, 1500);
+  const std::string doc = fuzz::RandomTagSoup(&rng, 1500);
   SCOPED_TRACE("rng seed=" + std::to_string(seed));
   SCOPED_TRACE(fuzz::SeedTrace(GetParam(), doc));
   auto a = BuildTagTree(doc);

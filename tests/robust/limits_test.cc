@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "gen/adversarial.h"
 #include "html/arena.h"
@@ -78,6 +80,52 @@ TEST(DocumentLimitsTest, TokenCountCapTripsLexer) {
   EXPECT_EQ(tokens.status().code(), Status::Code::kResourceExhausted);
   EXPECT_NE(tokens.status().message().find("max_tokens"), std::string::npos);
   EXPECT_EQ(obs::Robust().trip_tokens->count(), before + 1);
+}
+
+TEST(DocumentLimitsTest, TokenReserveIsBoundedByAnglesAndTheTokenCap) {
+  // The lexer sizes its token vector once, from a count of '<' bytes,
+  // clamped at max_tokens + 1: 300 KB of "<a>" under a cap of 1000 must
+  // still fail the ordinary way, after reserving room for 1001 tokens
+  // rather than 200001.
+  DocumentLimits limits = DocumentLimits::Production();
+  limits.max_tokens = 1000;
+  std::string storm;
+  for (int i = 0; i < 100'000; ++i) storm += "<a>";
+  const uint64_t before = obs::Robust().trip_tokens->count();
+  DocumentArena arena;
+  auto tripped = LexHtml(storm, limits, arena);
+  ASSERT_FALSE(tripped.ok());
+  EXPECT_EQ(tripped.status().code(), Status::Code::kResourceExhausted);
+  EXPECT_EQ(obs::Robust().trip_tokens->count(), before + 1);
+
+  // A successful lex never outgrows the reserve: 2 * count('<') + 1
+  // bounds the stream, and the cap clamps it.
+  std::vector<std::string> docs = {
+      "", "no markup at all", "<", "a<b", "<<<<", "x<br/>y<br/>z",
+      "<p>one<p>two<!-- c -->three<?pi?>", storm.substr(0, 300)};
+  for (AdversarialShape shape : gen::AllAdversarialShapes()) {
+    docs.push_back(RenderAdversarialDocument(shape, 200));
+  }
+  for (const std::string& doc : docs) {
+    SCOPED_TRACE(doc.substr(0, 80));
+    const size_t angles =
+        static_cast<size_t>(std::count(doc.begin(), doc.end(), '<'));
+    DocumentArena probe;
+    auto lexed = LexHtml(doc, DocumentLimits::Unlimited(), probe);
+    ASSERT_TRUE(lexed.ok());
+    const size_t tokens = lexed->size();
+    EXPECT_LE(lexed->capacity(), 2 * angles + 2);
+    for (size_t cap : {tokens, tokens + 5, size_t{4'000'000}}) {
+      DocumentLimits capped = DocumentLimits::Production();
+      capped.max_tokens = cap;
+      arena.Reset();
+      auto within = LexHtml(doc, capped, arena);
+      ASSERT_TRUE(within.ok()) << "max_tokens=" << cap;
+      EXPECT_EQ(within->size(), tokens);
+      EXPECT_LE(within->capacity(), std::min(2 * angles + 2, cap + 1))
+          << "max_tokens=" << cap;
+    }
+  }
 }
 
 TEST(DocumentLimitsTest, TreeDepthCapTripsBuilder) {

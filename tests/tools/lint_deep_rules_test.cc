@@ -160,6 +160,34 @@ TEST(ArenaEscapeRuleTest, TokenBorrowPropagatesThroughViewLocals) {
   EXPECT_TRUE(Triggered(findings, "arena-escape"));
 }
 
+TEST(ArenaEscapeRuleTest, TokenAttributeSpanPropagatesTheBorrow) {
+  // A token's attributes are an array in the lexer's arena; a span local
+  // over them is as much a borrow as the token itself.
+  const std::string source =
+      std::string(kLicense) +
+      "void Walker::Visit(const HtmlToken& token) {\n"
+      "  std::span<const HtmlAttribute> attrs = token.attrs;\n"
+      "  last_attrs_ = attrs;\n"
+      "}\n";
+  auto findings = LintFixture({"src/extract/walker.cc", source});
+  EXPECT_TRUE(Triggered(findings, "arena-escape"));
+}
+
+TEST(ArenaEscapeRuleTest, TokenAttributeSpanScalarsDoNotTrigger) {
+  // The count is a value copy; a span of anything but attributes is not
+  // tracked as a token borrow.
+  const std::string source =
+      std::string(kLicense) +
+      "void Walker::Visit(const HtmlToken& token) {\n"
+      "  std::span<const HtmlAttribute> attrs = token.attrs;\n"
+      "  attr_count_ = attrs.size();\n"
+      "  std::span<const int> ids = token.ids;\n"
+      "  ids_ = ids;\n"
+      "}\n";
+  auto findings = LintFixture({"src/extract/walker.cc", source});
+  EXPECT_FALSE(Triggered(findings, "arena-escape"));
+}
+
 TEST(ArenaEscapeRuleTest, TokenScalarFieldsDoNotTrigger) {
   // begin/end/kind/self_closing are value copies, not borrows.
   const std::string source = std::string(kLicense) +

@@ -12,6 +12,11 @@ the headline MB/s numbers the README and CI artifacts track:
                                per-matcher recognizer: MB/s over the four
                                bundled domains' texts together, the
                                speedup, and the speedup per domain
+    lex_balance / _legacy      BM_LexAndBalance/<page> vs the frozen
+                               vector-attribute lex + Step 2: MB/s over
+                               the three pages (obituary, template_skew,
+                               tag_storm) together, the speedup, and the
+                               speedup per page
     recognizer_compile_us      BM_RecognizerCompile: Recognizer::Create
                                for all four bundled ontologies
     dbgen / _legacy            BM_Dbgen/<domain> vs the frozen copying
@@ -114,6 +119,27 @@ def main():
             summary[fast_key + "_speedup"] = round(
                 runs[fast_name]["bytes_per_second"]
                 / runs[legacy_name]["bytes_per_second"], 2)
+
+    # Lex + balance section: BM_LexAndBalance/<page> and
+    # BM_LexAndBalanceLegacy/<page> run LexAndBalance over the same three
+    # page sets. MB/s is total bytes over total time across the three.
+    pages = ["obituary", "template_skew", "tag_storm"]
+    for key, prefix in [("lex_balance", "BM_LexAndBalance/"),
+                        ("lex_balance_legacy", "BM_LexAndBalanceLegacy/")]:
+        sets = [runs.get(prefix + page) for page in pages]
+        if all(sets):
+            seconds = sum(real_seconds(b) for b in sets)
+            total = sum(b["bytes_per_second"] * real_seconds(b) for b in sets)
+            summary[key + "_mb_s"] = round(total / seconds / 1e6, 1)
+    if "lex_balance_mb_s" in summary and "lex_balance_legacy_mb_s" in summary:
+        summary["lex_balance_speedup"] = round(
+            summary["lex_balance_mb_s"] / summary["lex_balance_legacy_mb_s"],
+            2)
+        for page in pages:
+            summary[f"lex_balance_speedup_{page}"] = round(
+                runs[f"BM_LexAndBalance/{page}"]["bytes_per_second"]
+                / runs[f"BM_LexAndBalanceLegacy/{page}"]["bytes_per_second"],
+                2)
 
     # Recognizer section: BM_Recognizer/<d> and BM_RecognizerLegacy/<d>
     # scan the same four texts (d = obituaries, car ads, job ads,
