@@ -383,6 +383,60 @@ void BM_RecognizerLegacy(benchmark::State& state) {
 }
 BENCHMARK(BM_RecognizerLegacy)->DenseRange(0, 3);
 
+// The plain text of every page of a domain's paper corpora (calibration
+// and test sets): what BM_RecognizerCorpus rotates through.
+const std::vector<std::string>& RecognizerCorpusTexts(Domain domain) {
+  static const std::vector<std::vector<std::string>> texts = [] {
+    std::vector<std::vector<std::string>> out;
+    for (Domain d : kRecognizerDomains) {
+      std::vector<std::string>& domain_texts = out.emplace_back();
+      std::vector<gen::GeneratedDocument> docs =
+          gen::GenerateCalibrationCorpus(d);
+      for (gen::GeneratedDocument& doc : gen::GenerateTestCorpus(d)) {
+        docs.push_back(std::move(doc));
+      }
+      for (const gen::GeneratedDocument& doc : docs) {
+        const TagTree tree = BuildTagTree(doc.html).value();
+        domain_texts.push_back(tree.PlainText(tree.root()));
+      }
+    }
+    return out;
+  }();
+  return texts[static_cast<size_t>(domain)];
+}
+
+// Recognizes the next text of the domain's corpus each iteration, so the
+// warm per-thread state is measured across different documents, as in the
+// pipeline, and not on one text scanned again (BM_Recognizer). CI's ratio
+// guard asserts BM_RecognizerCorpus / BM_RecognizerCorpusLegacy per
+// domain by bytes_per_second.
+template <typename RecognizerType>
+void RecognizeCorpus(benchmark::State& state) {
+  const Domain domain = static_cast<Domain>(state.range(0));
+  auto recognizer =
+      RecognizerType::Create(BundledOntology(domain).value()).value();
+  const std::vector<std::string>& texts = RecognizerCorpusTexts(domain);
+  size_t next = 0;
+  int64_t bytes = 0;
+  for (auto _ : state) {
+    const std::string& text = texts[next];
+    next = next + 1 == texts.size() ? 0 : next + 1;
+    benchmark::DoNotOptimize(recognizer.Recognize(text));
+    bytes += static_cast<int64_t>(text.size());
+  }
+  state.SetBytesProcessed(bytes);
+}
+
+void BM_RecognizerCorpus(benchmark::State& state) {
+  RecognizeCorpus<Recognizer>(state);
+}
+BENCHMARK(BM_RecognizerCorpus)->DenseRange(0, 3);
+
+void BM_RecognizerCorpusLegacy(benchmark::State& state) {
+  RecognizeCorpus<bench::LegacyRecognizer>(state);
+}
+BENCHMARK(BM_RecognizerCorpusLegacy)->DenseRange(0, 3);
+
 // Recognizer::Create for all four bundled ontologies: the compile cost a
 // cold RecognizerCache pays (ontologies parsed once, outside the loop).
 void BM_RecognizerCompile(benchmark::State& state) {

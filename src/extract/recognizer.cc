@@ -3,8 +3,9 @@
 #include "extract/recognizer.h"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <span>
-#include <tuple>
 
 #include "obs/stages.h"
 #include "text/regex_vm.h"
@@ -13,20 +14,85 @@ namespace webrbd {
 
 namespace {
 
-// One recognized span before it becomes a DataRecordEntry. `order` ranks
-// the matcher kinds at one begin offset: keyword 0, value pattern 1,
-// lexicon 2.
+// One recognized span before it becomes a DataRecordEntry. `rank` orders
+// the hits at one begin offset: object set, then matcher kind (keyword 0,
+// value pattern 1, lexicon 2), then slot, packed so that one integer
+// compare does it.
 struct Hit {
   size_t begin;
   size_t end;
-  uint32_t object_set;
-  uint32_t order;
-  uint32_t slot;
+  uint64_t rank;
 
-  auto Key() const { return std::tie(begin, object_set, order, slot); }
+  static uint64_t Rank(uint32_t object_set, uint32_t order, uint32_t slot) {
+    return uint64_t{object_set} << 32 | uint64_t{order} << 30 | slot;
+  }
+  uint32_t object_set() const { return static_cast<uint32_t>(rank >> 32); }
+  uint32_t order() const { return static_cast<uint32_t>(rank >> 30) & 3; }
 };
 
+// Recognizers whose start-set DFAs one thread keeps warm at once; the
+// least recently used one's are dropped for a new one.
+constexpr size_t kWarmRecognizers = 4;
+
+// What one thread keeps across Recognize calls: the Pike VM, and for the
+// last few recognizers it ran, each matcher's lazily built start-set DFA.
+// A DFA depends only on its automaton, so a warm one gives the same
+// positions as a cold one and only skips rebuilding states. Both are
+// bounded by program size and kMaxStates. The per-document buffers stay
+// per call: held across documents, they fragment the thread's heap under
+// the other stages' allocations and raise peak RSS by a third on the
+// crawl benchmark.
+struct ThreadScratch {
+  struct WarmDfas {
+    uint64_t recognizer = 0;  // Recognizer id; 0: unused
+    uint64_t last_use = 0;
+    std::vector<StartSetAutomaton::Scratch> dfas;  // by matcher index
+  };
+
+  // The DFAs of recognizer `id` with `matchers` matchers, warm if this
+  // thread ran it recently.
+  std::vector<StartSetAutomaton::Scratch>& DfasFor(uint64_t id,
+                                                    size_t matchers) {
+    ++clock;
+    WarmDfas* slot = &warm[0];
+    for (WarmDfas& candidate : warm) {
+      if (candidate.recognizer == id) {
+        slot = &candidate;
+        break;
+      }
+      if (candidate.last_use < slot->last_use) slot = &candidate;
+    }
+    if (slot->recognizer != id) {
+      slot->recognizer = id;
+      slot->dfas.assign(matchers, StartSetAutomaton::Scratch{});
+    }
+    slot->last_use = clock;
+    return slot->dfas;
+  }
+
+  std::array<WarmDfas, kWarmRecognizers> warm;
+  uint64_t clock = 0;
+  PikeVm vm;
+};
+
+ThreadScratch& LocalScratch() {
+  thread_local ThreadScratch scratch;
+  return scratch;
+}
+
+// Ids are never reused, unlike addresses: a recognizer built where a
+// destroyed one lived must not inherit its DFAs.
+uint64_t NextRecognizerId() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 }  // namespace
+
+Recognizer::Recognizer(MatchingRuleSet rules)
+    : rules_(std::move(rules)),
+      plan_(ScanPlan::Build(rules_)),
+      id_(NextRecognizerId()) {}
 
 Result<Recognizer> Recognizer::Create(const Ontology& ontology) {
   auto rules = MatchingRuleSet::Compile(ontology);
@@ -37,41 +103,76 @@ Result<Recognizer> Recognizer::Create(const Ontology& ontology) {
 DataRecordTable Recognizer::Recognize(std::string_view plain_text) const {
   obs::ScopedTimer timer(obs::Stages().recognize);
   const std::vector<ScanPlan::Matcher>& matchers = plan_.matchers();
+  ThreadScratch& scratch = LocalScratch();
   std::vector<Hit> hits;
 
-  // One automaton pass finds every literal-prefix occurrence: the only
-  // positions where a prefiltered matcher can begin a match. A matcher
-  // whose prefix is so common that its hits outnumber an eighth of the
-  // text is not worth the memory; it falls back to the plain scan, which
-  // finds the same matches.
+  // One automaton pass finds every literal-prefix and required-factor
+  // occurrence: the only places near which a filtered matcher can match. A
+  // matcher whose literals are so common that its hits outnumber an eighth
+  // of the text is not worth the memory; it falls back to an unfiltered
+  // scan, which finds the same matches. The hits land in one list, then
+  // go to one array grouped by matcher (a stable counting sort), which
+  // keeps each matcher's in text order.
   const size_t max_hits = plain_text.size() / 8 + 64;
-  std::vector<std::vector<size_t>> starts(matchers.size());
-  std::vector<bool> too_common(matchers.size(), false);
+  std::vector<uint32_t> counts(matchers.size() + 1, 0);
+  std::vector<std::pair<uint32_t, size_t>> literal_hits;
   plan_.literals().Scan(plain_text, [&](uint32_t matcher, size_t begin) {
-    if (starts[matcher].size() < max_hits) {
-      starts[matcher].push_back(begin);
-    } else {
-      too_common[matcher] = true;
+    if (counts[matcher + 1] <= max_hits) {
+      ++counts[matcher + 1];
+      literal_hits.emplace_back(matcher, begin);
     }
   });
+  for (size_t m = 0; m < matchers.size(); ++m) counts[m + 1] += counts[m];
+  std::vector<size_t> grouped(literal_hits.size());
+  {
+    std::vector<uint32_t> fill(counts.begin(), counts.end() - 1);
+    for (const auto& [matcher, begin] : literal_hits) {
+      grouped[fill[matcher]++] = begin;
+    }
+  }
 
   // Each distinct program scans once (leftmost-first, non-overlapping,
-  // like Regex::FindAll) and its matches go to every owner. A matcher with
-  // a start-set automaton seeds the VM only where its reverse pass says a
-  // match can begin; past the automaton's state cap, or with more starts
-  // than the hit cap, it falls back to the plain scan, which finds the
-  // same matches.
-  PikeVm vm;
-  StartSetAutomaton::Scratch start_scratch;
+  // like Regex::FindAll) and its matches go to every owner. A factored
+  // matcher runs its start-set automaton backwards over a window ending
+  // factor_reach past each factor hit, which finds every position where a
+  // match around that hit can begin; a letter-led matcher without usable
+  // factors runs it over the whole text. The VM is seeded only at those
+  // positions. Past the automaton's state cap, the window budget or the
+  // hit cap, a matcher falls back to the plain scan, which finds the same
+  // matches.
+  std::vector<StartSetAutomaton::Scratch>& dfas =
+      scratch.DfasFor(id_, matchers.size());
+  PikeVm& vm = scratch.vm;
+  std::vector<size_t> found;
   for (size_t m = 0; m < matchers.size(); ++m) {
     const ScanPlan::Matcher& matcher = matchers[m];
-    bool seeded = matcher.prefiltered && !too_common[m];
-    if (matcher.start_set.has_value()) {
-      seeded = matcher.start_set->Scan(plain_text, max_hits, &start_scratch,
-                                       &starts[m]);
+    std::span<const size_t> candidates(grouped.data() + counts[m],
+                                       counts[m + 1] - counts[m]);
+    const bool too_common = candidates.size() > max_hits;
+    bool seeded = matcher.prefiltered && !too_common;
+    if (matcher.factor_reach > 0 && !too_common) {
+      found.clear();
+      size_t budget = plain_text.size() / 2 + 256;
+      seeded = true;
+      for (size_t factor : candidates) {
+        const size_t end =
+            std::min(plain_text.size(), factor + matcher.factor_reach);
+        if (!matcher.start_set->ScanBack(plain_text, end, factor, max_hits,
+                                         &budget, &dfas[m], &found)) {
+          seeded = false;
+          break;
+        }
+      }
+      std::sort(found.begin(), found.end());
+      found.erase(std::unique(found.begin(), found.end()), found.end());
+      candidates = found;
+    }
+    if (!seeded && matcher.letter_led) {
+      found.clear();
+      seeded = matcher.start_set->Scan(plain_text, max_hits, &dfas[m], &found);
+      candidates = found;
     }
     vm.Bind(*matcher.program);
-    std::span<const size_t> candidates = starts[m];
     size_t pos = 0;
     while (pos <= plain_text.size()) {
       std::optional<RegexMatch> match;
@@ -85,41 +186,44 @@ DataRecordTable Recognizer::Recognize(std::string_view plain_text) const {
       }
       if (!match.has_value()) break;
       for (const ScanPlan::Owner& owner : matcher.owners) {
-        hits.push_back(Hit{match->begin, match->end, owner.object_set,
-                           owner.kind == MatchKind::kKeyword ? 0u : 1u,
-                           owner.slot});
+        hits.push_back(Hit{
+            match->begin, match->end,
+            Hit::Rank(owner.object_set,
+                      owner.kind == MatchKind::kKeyword ? 0u : 1u,
+                      owner.slot)});
       }
       pos = match->end > match->begin ? match->end : match->begin + 1;
     }
   }
 
-  // One tokenization, shared by every object set's lexicon.
+  // One tokenization with the word lookups fused in, shared by every
+  // object set's lexicon.
   const LexiconSet& lexicons = plan_.lexicons();
   if (!lexicons.empty()) {
-    LexiconWords words;
-    words.Tokenize(plain_text);
-    std::vector<uint32_t> ids;
-    lexicons.Lookup(words, &ids);
+    LexiconTokens tokens;
+    lexicons.Tokenize(plain_text, &tokens);
     for (uint32_t set = 0; set < lexicons.size(); ++set) {
-      lexicons.ForEachMatch(set, ids, [&](size_t first, size_t count) {
-        hits.push_back(
-            Hit{words.begin(first), words.end(first + count - 1), set, 2, 0});
+      lexicons.ForEachMatch(set, tokens.ids(), [&](size_t first,
+                                                   size_t count) {
+        hits.push_back(Hit{tokens.begin(first), tokens.end(first + count - 1),
+                           Hit::Rank(set, 2, 0)});
       });
     }
   }
 
-  std::sort(hits.begin(), hits.end(),
-            [](const Hit& a, const Hit& b) { return a.Key() < b.Key(); });
+  std::sort(hits.begin(), hits.end(), [](const Hit& a, const Hit& b) {
+    return a.begin != b.begin ? a.begin < b.begin : a.rank < b.rank;
+  });
   const std::vector<CompiledObjectSetRule>& rules = rules_.rules();
   std::vector<DataRecordEntry> entries;
   entries.reserve(hits.size());
   for (const Hit& hit : hits) {
     entries.push_back(DataRecordEntry{
-        rules[hit.object_set].object_set,
+        rules[hit.object_set()].object_set,
         std::string(plain_text.substr(hit.begin, hit.end - hit.begin)),
         hit.begin, hit.end,
-        hit.order == 0 ? MatchKind::kKeyword : MatchKind::kConstant,
-        hit.object_set});
+        hit.order() == 0 ? MatchKind::kKeyword : MatchKind::kConstant,
+        hit.object_set()});
   }
   return DataRecordTable(std::move(entries));
 }

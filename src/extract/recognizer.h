@@ -6,6 +6,7 @@
 #ifndef WEBRBD_EXTRACT_RECOGNIZER_H_
 #define WEBRBD_EXTRACT_RECOGNIZER_H_
 
+#include <cstdint>
 #include <memory>
 #include <string_view>
 
@@ -28,18 +29,26 @@ class Recognizer {
   /// Database-Instance Generator resolves conflicts downstream); within one
   /// matcher, matches never overlap. Entries with equal begin offsets are
   /// ordered by object set, then keyword before value pattern before
-  /// lexicon, then matcher slot. Thread-safe on a const Recognizer: all
-  /// scratch belongs to the call.
+  /// lexicon, then matcher slot.
+  ///
+  /// Thread-safe on a const Recognizer, without locks: the Recognizer is
+  /// never written. Set-up scratch belongs to the calling thread, not the
+  /// call: a thread_local keeps the Pike VM and, for the last few
+  /// recognizers the thread ran (keyed by a process-unique id, never by
+  /// address), each matcher's lazily built start-set DFA, so a thread
+  /// pays that set-up once rather than per document. Both are bounded by
+  /// program size and StartSetAutomaton::kMaxStates. Warm state changes
+  /// no output. The per-document buffers belong to the call.
   DataRecordTable Recognize(std::string_view plain_text) const;
 
   const MatchingRuleSet& rules() const { return rules_; }
 
  private:
-  explicit Recognizer(MatchingRuleSet rules)
-      : rules_(std::move(rules)), plan_(ScanPlan::Build(rules_)) {}
+  explicit Recognizer(MatchingRuleSet rules);
 
   MatchingRuleSet rules_;
   ScanPlan plan_;  // points into rules_' shared regex programs
+  uint64_t id_;    // keys the calling thread's warm scratch
 };
 
 }  // namespace webrbd

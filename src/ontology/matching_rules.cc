@@ -98,7 +98,7 @@ ScanPlan ScanPlan::Build(const MatchingRuleSet& rules) {
   auto own = [&](const Regex& regex, Owner owner) {
     const RegexProgram* program = &regex.program();
     auto [it, added] = matcher_of.emplace(program, plan.matchers_.size());
-    if (added) plan.matchers_.push_back(Matcher{program, {}, false, {}});
+    if (added) plan.matchers_.emplace_back().program = program;
     plan.matchers_[it->second].owners.push_back(owner);
   };
   std::vector<const Lexicon*> lexicons;
@@ -117,26 +117,33 @@ ScanPlan ScanPlan::Build(const MatchingRuleSet& rules) {
 
   std::vector<MultiLiteralMatcher::Literal> literals;
   for (uint32_t m = 0; m < plan.matchers_.size(); ++m) {
-    for (std::string& prefix : LiteralPrefixes(*plan.matchers_[m].program)) {
+    Matcher& matcher = plan.matchers_[m];
+    for (std::string& prefix : LiteralPrefixes(*matcher.program)) {
       literals.push_back(MultiLiteralMatcher::Literal{std::move(prefix), m});
-      plan.matchers_[m].prefiltered = true;
+      matcher.prefiltered = true;
+    }
+    const std::optional<ByteSet>& start = matcher.program->start_bytes;
+    if (matcher.prefiltered || !start.has_value()) continue;
+    // Digit- and symbol-led matchers with no factor keep the SWAR
+    // start-byte skip: their start bytes are rare in prose, so the skip
+    // beats a byte-by-byte pass.
+    for (int c = 'A'; c <= 'Z'; ++c) {
+      matcher.letter_led =
+          matcher.letter_led || start->Test(static_cast<unsigned char>(c)) ||
+          start->Test(static_cast<unsigned char>(c - 'A' + 'a'));
+    }
+    LiteralFactors factors = RequiredFactors(*matcher.program);
+    if (!factors.literals.empty() || matcher.letter_led) {
+      matcher.start_set = StartSetAutomaton::Build(*matcher.program);
+    }
+    matcher.letter_led = matcher.letter_led && matcher.start_set.has_value();
+    if (factors.literals.empty() || !matcher.start_set.has_value()) continue;
+    matcher.factor_reach = factors.literals[0].size() + factors.max_suffix;
+    for (std::string& factor : factors.literals) {
+      literals.push_back(MultiLiteralMatcher::Literal{std::move(factor), m});
     }
   }
   if (!literals.empty()) plan.literals_ = MultiLiteralMatcher(literals);
-  // Digit- and symbol-led matchers keep the SWAR start-byte skip: their
-  // start bytes are rare in prose, so the skip beats a byte-by-byte pass.
-  for (Matcher& matcher : plan.matchers_) {
-    const std::optional<ByteSet>& start = matcher.program->start_bytes;
-    if (matcher.prefiltered || !start.has_value()) continue;
-    bool letter_led = false;
-    for (int c = 'A'; c <= 'Z'; ++c) {
-      letter_led = letter_led || start->Test(static_cast<unsigned char>(c)) ||
-                   start->Test(static_cast<unsigned char>(c - 'A' + 'a'));
-    }
-    if (letter_led) {
-      matcher.start_set = StartSetAutomaton::Build(*matcher.program);
-    }
-  }
   plan.lexicons_ = LexiconSet(lexicons);
   return plan;
 }

@@ -67,11 +67,14 @@ class MatchingRuleSet {
 ///  - every matcher with a literal prefix set (LiteralPrefixes) has those
 ///    literals in one multi-literal automaton tagged with the matcher's
 ///    index, so the VM runs only where a prefix occurs;
-///  - every other matcher whose start bytes hold a letter carries a
-///    reverse start-set automaton (text/start_set.h), so the VM runs only
-///    where a match can begin; the rest (digit- or symbol-led ones, for
-///    which the SWAR start-byte skip is faster) scan with the
-///    start-byte-skipping VM;
+///  - every other matcher with a required inner factor set
+///    (RequiredFactors) has its factors in the same automaton, and a
+///    reverse start-set automaton (text/start_set.h) finds where a match
+///    can begin within a bounded window before each factor hit;
+///  - every other matcher whose start bytes hold a letter also carries a
+///    start-set automaton, run over the whole text; the rest (digit- or
+///    symbol-led ones, for which the SWAR start-byte skip is faster) scan
+///    with the start-byte-skipping VM;
 ///  - every object set's lexicon matches over one shared tokenization.
 class ScanPlan {
  public:
@@ -86,9 +89,17 @@ class ScanPlan {
   struct Matcher {
     const RegexProgram* program = nullptr;  ///< owned by the rule set
     std::vector<Owner> owners;
-    bool prefiltered = false;  ///< has literals in literals()
-    /// Set only for unprefiltered, letter-led matchers small enough.
+    bool prefiltered = false;  ///< has literal prefixes in literals()
+    /// Nonzero when literals() holds this matcher's required factors: a
+    /// factor's length plus the most bytes a match can run past it, so a
+    /// match around a factor hit at f ends by f + factor_reach.
+    size_t factor_reach = 0;
+    /// Set for unprefiltered matchers small enough that have factors or
+    /// are letter-led.
     std::optional<StartSetAutomaton> start_set;
+    /// Letter-led and with a start_set: scan the whole text with it when
+    /// the factors cannot be used.
+    bool letter_led = false;
   };
 
   /// Builds the plan for `rules`, which must outlive it.
@@ -96,7 +107,8 @@ class ScanPlan {
 
   const std::vector<Matcher>& matchers() const { return matchers_; }
 
-  /// Literal prefixes of the prefiltered matchers, tagged by matcher index.
+  /// Literal prefixes of the prefiltered matchers and required factors of
+  /// the factored ones, tagged by matcher index.
   const MultiLiteralMatcher& literals() const { return literals_; }
 
   /// Lexicon i is rules()[i].value_lexicon.

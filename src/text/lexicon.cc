@@ -145,19 +145,72 @@ size_t Lexicon::CountMatches(std::string_view text) const {
   return count;
 }
 
+namespace {
+
+// The token hash: one shift-add step per lowercased byte while the token is
+// read, then a finalizer (MurmurHash3's fmix64) so that both halves of the
+// result mix every byte: the low half picks the slot, the high half is the
+// slot's tag.
+constexpr uint64_t kHashSeed = 5381;
+
+uint64_t HashStep(uint64_t h, char lower) {
+  return (h << 5) + h + static_cast<unsigned char>(lower);
+}
+
+uint64_t FinishHash(uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xFF51AFD7ED558CCDull;
+  h ^= h >> 33;
+  h *= 0xC4CEB9FE1A85EC53ull;
+  h ^= h >> 33;
+  return h;
+}
+
+uint64_t LengthBit(size_t length) {
+  return uint64_t{1} << (length < 63 ? length : 63);
+}
+
+}  // namespace
+
 LexiconSet::LexiconSet(const std::vector<const Lexicon*>& lexicons) {
   // Pass 1: ids for every word of every phrase.
+  std::unordered_map<std::string, uint32_t, internal::WordHash,
+                     std::equal_to<>>
+      vocabulary;
   for (const Lexicon* lexicon : lexicons) {
-    lexicon->ForEachPhrase([this](const std::vector<std::string>& words) {
+    lexicon->ForEachPhrase([&](const std::vector<std::string>& words) {
       for (const std::string& word : words) {
-        vocabulary_.try_emplace(word,
-                                static_cast<uint32_t>(vocabulary_.size()));
+        auto [it, added] = vocabulary.try_emplace(
+            word, static_cast<uint32_t>(vocabulary.size()));
+        if (!added) continue;
+        chars_ += word;
+        word_ends_.push_back(static_cast<uint32_t>(chars_.size()));
+        length_mask_ |= LengthBit(word.size());
       }
     });
   }
+  // The flat lookup table, at most half full.
+  if (!word_ends_.empty()) {
+    size_t capacity = 16;
+    while (capacity < 2 * word_ends_.size()) capacity *= 2;
+    slots_.resize(capacity);
+    for (uint32_t id = 0; id < word_ends_.size(); ++id) {
+      const uint32_t begin = id == 0 ? 0 : word_ends_[id - 1];
+      uint64_t h = kHashSeed;
+      for (uint32_t k = begin; k < word_ends_[id]; ++k) {
+        h = HashStep(h, chars_[k]);
+      }
+      h = FinishHash(h);
+      size_t slot = h & (capacity - 1);
+      while (slots_[slot].word != kUnknownWord) {
+        slot = (slot + 1) & (capacity - 1);
+      }
+      slots_[slot] = Slot{static_cast<uint32_t>(h >> 32), id};
+    }
+  }
   // Pass 2: each lexicon's phrases as id runs, bucketed by first id with a
   // counting sort, which keeps each bucket's longest-first order.
-  const size_t vocabulary_size = vocabulary_.size();
+  const size_t vocabulary_size = vocabulary.size();
   std::vector<uint32_t> ids;
   std::vector<PhraseIds> runs;
   for (const Lexicon* lexicon : lexicons) {
@@ -169,7 +222,7 @@ LexiconSet::LexiconSet(const std::vector<const Lexicon*>& lexicons) {
       runs.push_back(PhraseIds{static_cast<uint32_t>(ids.size()),
                                static_cast<uint32_t>(words.size())});
       for (const std::string& word : words) {
-        ids.push_back(vocabulary_.find(word)->second);
+        ids.push_back(vocabulary.find(word)->second);
       }
     });
     index.first.assign(vocabulary_size + 1, 0);
@@ -186,12 +239,50 @@ LexiconSet::LexiconSet(const std::vector<const Lexicon*>& lexicons) {
   }
 }
 
-void LexiconSet::Lookup(const LexiconWords& words,
-                        std::vector<uint32_t>* ids) const {
-  ids->resize(words.size());
-  for (size_t i = 0; i < words.size(); ++i) {
-    auto it = vocabulary_.find(words.lower(i));
-    (*ids)[i] = it == vocabulary_.end() ? kUnknownWord : it->second;
+uint32_t LexiconSet::Find(const char* token, size_t length,
+                          uint64_t hash) const {
+  const size_t mask = slots_.size() - 1;
+  const uint32_t tag = static_cast<uint32_t>(hash >> 32);
+  for (size_t slot = hash & mask;; slot = (slot + 1) & mask) {
+    const Slot entry = slots_[slot];
+    if (entry.word == kUnknownWord) return kUnknownWord;
+    if (entry.tag != tag) continue;
+    const uint32_t begin = entry.word == 0 ? 0 : word_ends_[entry.word - 1];
+    if (word_ends_[entry.word] - begin != length) continue;
+    size_t k = 0;
+    while (k < length && WordLower(token[k]) == chars_[begin + k]) ++k;
+    if (k == length) return entry.word;
+  }
+}
+
+void LexiconSet::Tokenize(std::string_view text, LexiconTokens* tokens) const {
+  tokens->spans_.clear();
+  tokens->ids_.clear();
+  if (empty()) return;
+  const char* data = text.data();
+  const size_t size = text.size();
+  bool after_unknown = false;
+  size_t i = 0;
+  while (true) {
+    while (i < size && WordLower(data[i]) == 0) ++i;
+    if (i == size) break;
+    const size_t start = i;
+    uint64_t h = kHashSeed;
+    for (char lower; i < size && (lower = WordLower(data[i])) != 0; ++i) {
+      h = HashStep(h, lower);
+    }
+    const size_t length = i - start;
+    const uint32_t id = (length_mask_ & LengthBit(length)) != 0
+                            ? Find(data + start, length, FinishHash(h))
+                            : kUnknownWord;
+    if (id == kUnknownWord) {
+      if (after_unknown) continue;  // one token stands for the whole run
+      after_unknown = true;
+    } else {
+      after_unknown = false;
+    }
+    tokens->spans_.push_back(LexiconTokens::Span{start, i});
+    tokens->ids_.push_back(id);
   }
 }
 

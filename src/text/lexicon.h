@@ -68,8 +68,9 @@ class LexiconWords {
 };
 
 /// An immutable-after-build set of words/phrases, matched case-insensitively
-/// on word boundaries. Multi-word phrases match across arbitrary runs of
-/// whitespace between their words.
+/// on word boundaries. Multi-word phrases match across any run of non-word
+/// bytes between their words, not only whitespace: "salt lake city" matches
+/// "Salt, Lake City".
 class Lexicon {
  public:
   Lexicon() = default;
@@ -119,11 +120,33 @@ class Lexicon {
   size_t entry_count_ = 0;
 };
 
+/// The word tokens of one text as LexiconSet word ids (LexiconSet::Tokenize).
+/// A run of tokens that are words of no lexicon is one kUnknownWord token:
+/// such a token only separates phrases, so collapsing a run of them
+/// changes no match. Buffers are reused across Tokenize calls.
+class LexiconTokens {
+ public:
+  size_t size() const { return ids_.size(); }
+  size_t begin(size_t i) const { return spans_[i].begin; }
+  size_t end(size_t i) const { return spans_[i].end; }
+  std::span<const uint32_t> ids() const { return ids_; }
+
+ private:
+  friend class LexiconSet;
+  struct Span {
+    size_t begin;
+    size_t end;
+  };
+
+  std::vector<Span> spans_;
+  std::vector<uint32_t> ids_;
+};
+
 /// Several lexicons matched over one shared tokenization. Every distinct
-/// word of every lexicon gets an id at construction; a scan looks each
-/// text token up once (Lookup), and each lexicon then matches over the id
-/// sequence with Lexicon::FindAll's rule: longest phrase first at each
-/// token, non-overlapping, left to right.
+/// word of every lexicon gets an id at construction; one scan of a text
+/// tokenizes it and looks each token up (Tokenize), and each lexicon then
+/// matches over the id sequence with Lexicon::FindAll's rule: longest
+/// phrase first at each token, non-overlapping, left to right.
 class LexiconSet {
  public:
   /// Id of a token that is a word of no lexicon.
@@ -136,13 +159,17 @@ class LexiconSet {
   size_t size() const { return lexicons_.size(); }
 
   /// True when no lexicon has an entry (a scan can skip tokenizing).
-  bool empty() const { return vocabulary_.empty(); }
+  bool empty() const { return word_ends_.empty(); }
 
-  /// Word id of every token of `words`, into *ids.
-  void Lookup(const LexiconWords& words, std::vector<uint32_t>* ids) const;
+  /// Tokenizes `text` into *tokens in one pass: each token is hashed as
+  /// its bytes are lowercased and read, and looked up in a flat
+  /// open-addressing table over the vocabulary, with no lowercased copy of
+  /// the text. A token whose length no vocabulary word has skips the
+  /// table.
+  void Tokenize(std::string_view text, LexiconTokens* tokens) const;
 
   /// Calls `on_match(first_token, token_count)` for each match of lexicon
-  /// `index` over the Lookup ids of a text, left to right.
+  /// `index` over the ids of a Tokenize result, left to right.
   template <typename OnMatch>
   void ForEachMatch(size_t index, std::span<const uint32_t> ids,
                     OnMatch&& on_match) const {
@@ -191,9 +218,25 @@ class LexiconSet {
     std::vector<uint32_t> words;
   };
 
-  std::unordered_map<std::string, uint32_t, internal::WordHash,
-                     std::equal_to<>>
-      vocabulary_;
+  // One slot of the vocabulary table: the word's id (kUnknownWord when
+  // empty) and the high half of its hash, which rejects most mismatches
+  // before the bytes are compared.
+  struct Slot {
+    uint32_t tag = 0;
+    uint32_t word = kUnknownWord;
+  };
+
+  // The id of the token text[begin, begin + length) with hash `hash`, or
+  // kUnknownWord.
+  uint32_t Find(const char* token, size_t length, uint64_t hash) const;
+
+  std::vector<Slot> slots_;  // a power of two, at most half full
+  // Word id -> its lowercased bytes: chars_[word_ends_[id - 1],
+  // word_ends_[id]), with word_ends_[-1] read as 0.
+  std::string chars_;
+  std::vector<uint32_t> word_ends_;
+  // Bit min(length, 63) is set for every vocabulary word length.
+  uint64_t length_mask_ = 0;
   std::vector<Index> lexicons_;
 };
 

@@ -6,7 +6,10 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <tuple>
 #include <utility>
+
+#include "util/string_util.h"
 
 namespace webrbd {
 
@@ -339,57 +342,227 @@ Result<RegexProgram> CompileRegex(const RegexNode& root) {
   return compiler.Compile(root);
 }
 
+namespace {
+
+// The program as a graph over its consuming and accepting instructions:
+// from the start, and after each kClass, its epsilon closure (walked once
+// and memoized when not precomputed). The literal-prefix and
+// required-factor analyses both walk it.
+class ClassGraph {
+ public:
+  // Pairs of (literal read so far, next instruction), one level per byte.
+  using Level = std::vector<std::pair<std::string, int>>;
+
+  explicit ClassGraph(const RegexProgram& program)
+      : program_(program),
+        walker_(program.insts.size()),
+        walked_(program.insts.size()) {}
+
+  // Closure targets of `pc`: where a thread added at pc goes.
+  std::span<const int> Targets(int pc) {
+    if (!walked_[pc].empty()) return walked_[pc];
+    return ClosureAt(program_, pc, &walker_, &walked_[pc]);
+  }
+
+  // The lowercase literal byte instruction `pc` consumes, or -1.
+  int LiteralAt(int pc) const {
+    const RegexInst& inst = program_.insts[pc];
+    return inst.op == RegexInst::Op::kClass
+               ? LiteralByte(program_.class_bits[inst.class_id])
+               : -1;
+  }
+
+  // Extends every pair of `level` one byte at a time while every pair's
+  // instruction consumes a literal byte, up to `max_length` bytes: so every
+  // pair of the result has one literal length, that of the shortest
+  // literal run any path has. Converging branches share one pair. Empty
+  // when the level grows past `max_pairs`.
+  Level WalkLiterals(Level level, size_t max_length, size_t max_pairs) {
+    for (size_t length = 0;; ++length) {
+      bool stop = length == max_length || level.empty();
+      for (const auto& [literal, pc] : level) {
+        stop = stop || LiteralAt(pc) < 0;
+      }
+      if (stop) return level;
+      Level next;
+      for (const auto& [literal, pc] : level) {
+        const std::string extended = literal + static_cast<char>(LiteralAt(pc));
+        for (int target : Targets(pc + 1)) next.emplace_back(extended, target);
+      }
+      std::sort(next.begin(), next.end());
+      next.erase(std::unique(next.begin(), next.end()), next.end());
+      level = std::move(next);
+      if (level.size() > max_pairs) return {};
+    }
+  }
+
+  // Whether each instruction dominates every kMatch: every path from the
+  // start to an accepting state passes it. The iterative data-flow
+  // algorithm over bitsets, pushed along the closures from every reached
+  // instruction until nothing changes.
+  std::vector<bool> MatchDominators() {
+    const size_t size = program_.insts.size();
+    const size_t words = (size + 63) / 64;
+    std::vector<uint64_t> dom(size * words, ~uint64_t{0});  // unreached: all
+    std::vector<bool> reached(size, false);
+    auto only = [&](int pc) {
+      std::fill_n(dom.begin() + static_cast<std::ptrdiff_t>(pc * words),
+                  words, 0);
+      dom[pc * words + pc / 64] = uint64_t{1} << (pc % 64);
+    };
+    for (int target : Targets(0)) {
+      only(target);
+      reached[target] = true;
+    }
+    for (bool changed = true; changed;) {
+      changed = false;
+      for (int pc = 0; pc < static_cast<int>(size); ++pc) {
+        if (!reached[pc] || program_.insts[pc].op != RegexInst::Op::kClass) {
+          continue;
+        }
+        for (int target : Targets(pc + 1)) {
+          if (!reached[target]) {
+            reached[target] = true;
+            changed = true;
+          }
+          for (size_t w = 0; w < words; ++w) {
+            uint64_t meet = dom[pc * words + w];
+            if (w == static_cast<size_t>(target) / 64) {
+              meet |= uint64_t{1} << (target % 64);
+            }
+            const uint64_t next = dom[target * words + w] & meet;
+            if (next != dom[target * words + w]) {
+              dom[target * words + w] = next;
+              changed = true;
+            }
+          }
+        }
+      }
+    }
+    std::vector<bool> dominators(size, true);
+    for (int pc = 0; pc < static_cast<int>(size); ++pc) {
+      if (!reached[pc] || program_.insts[pc].op != RegexInst::Op::kMatch) {
+        continue;
+      }
+      for (size_t q = 0; q < size; ++q) {
+        dominators[q] = dominators[q] &&
+                        ((dom[pc * words + q / 64] >> (q % 64)) & 1) != 0;
+      }
+    }
+    return dominators;
+  }
+
+  // The most bytes any path from `pc` consumes before it accepts, or -1
+  // when a path can loop (unbounded).
+  int Longest(int pc) {
+    if (longest_.empty()) longest_.assign(program_.insts.size(), kUnvisited);
+    int& memo = longest_[pc];
+    if (memo == kOnPath) return -1;
+    if (memo != kUnvisited) return memo;
+    if (program_.insts[pc].op == RegexInst::Op::kMatch) return memo = 0;
+    memo = kOnPath;
+    int most = 0;
+    for (int target : Targets(pc + 1)) {
+      const int rest = Longest(target);
+      if (rest < 0) return memo = -1;
+      most = std::max(most, rest);
+    }
+    return memo = most + 1;
+  }
+
+ private:
+  static constexpr int kUnvisited = -2;
+  static constexpr int kOnPath = -3;
+
+  const RegexProgram& program_;
+  ClosureWalker walker_;
+  std::vector<std::vector<int>> walked_;
+  std::vector<int> longest_;
+};
+
+// The distinct literals of a walked level, sorted; empty when some path
+// has read no literal or there are more than `max_literals`.
+std::vector<std::string> DistinctLiterals(ClassGraph::Level level,
+                                          size_t max_literals) {
+  std::vector<std::string> literals;
+  for (auto& [literal, pc] : level) {
+    if (literal.empty()) return {};  // a path begins with no literal
+    if (literals.empty() || literals.back() != literal) {
+      literals.push_back(std::move(literal));
+    }
+  }
+  if (literals.size() > max_literals) return {};
+  return literals;
+}
+
+}  // namespace
+
 std::vector<std::string> LiteralPrefixes(const RegexProgram& program) {
   // Longer prefixes barely thin the hits; more literals than this means
   // the hits are too common to be worth a prefilter.
   constexpr size_t kMaxLength = 8;
   constexpr size_t kMaxLiterals = 32;
-  // Walk (prefix, instruction) pairs forward from the start state one byte
-  // at a time; every pair of a level has the same prefix length. A level
-  // extends only while every pair's instruction consumes a literal byte, so
-  // the walk stops at the shortest literal run any path has, and every
-  // prefix it returns has that one length. Closures that were not
-  // precomputed are walked once and memoized.
-  ClosureWalker walker(program.insts.size());
-  std::vector<std::vector<int>> walked(program.insts.size());
-  auto targets = [&](int pc) -> std::span<const int> {
-    if (!walked[pc].empty()) return walked[pc];
-    return ClosureAt(program, pc, &walker, &walked[pc]);
-  };
-  auto literal_at = [&program](int pc) {
-    const RegexInst& inst = program.insts[pc];
-    return inst.op == RegexInst::Op::kClass
-               ? LiteralByte(program.class_bits[inst.class_id])
-               : -1;
-  };
+  ClassGraph graph(program);
+  ClassGraph::Level level;
+  for (int target : graph.Targets(0)) level.emplace_back("", target);
+  return DistinctLiterals(
+      graph.WalkLiterals(std::move(level), kMaxLength, kMaxLiterals * 4),
+      kMaxLiterals);
+}
 
-  std::vector<std::pair<std::string, int>> level;
-  for (int target : targets(0)) level.emplace_back("", target);
-  for (size_t length = 0;; ++length) {
-    bool stop = length == kMaxLength || level.empty();
-    for (const auto& [prefix, pc] : level) stop = stop || literal_at(pc) < 0;
-    if (stop) break;
-    std::vector<std::pair<std::string, int>> next;
-    for (const auto& [prefix, pc] : level) {
-      const std::string extended = prefix + static_cast<char>(literal_at(pc));
-      for (int target : targets(pc + 1)) next.emplace_back(extended, target);
+LiteralFactors RequiredFactors(const RegexProgram& program) {
+  // The recognizer filters only programs this small
+  // (StartSetAutomaton::kMaxInstructions).
+  constexpr size_t kMaxProgram = 256;
+  constexpr size_t kMaxLength = 16;
+  constexpr size_t kMaxLiterals = 32;
+  // A window this long per hit is still a small part of a document.
+  constexpr int kMaxSuffix = 64;
+  LiteralFactors best;
+  if (program.insts.size() > kMaxProgram) return best;
+  ClassGraph graph(program);
+  const std::vector<bool> dominators = graph.MatchDominators();
+  for (int pc = 0; pc < static_cast<int>(program.insts.size()); ++pc) {
+    if (!dominators[pc] || graph.LiteralAt(pc) < 0) continue;
+    // Walk only from the start of a run of dominating literals: a walk
+    // from inside the run finds a factor the run's start already covers.
+    if (pc > 0 && dominators[pc - 1] && graph.LiteralAt(pc - 1) >= 0) {
+      continue;
     }
-    // Converging branches reach one pair by several paths.
-    std::sort(next.begin(), next.end());
-    next.erase(std::unique(next.begin(), next.end()), next.end());
-    level = std::move(next);
-    if (level.size() > kMaxLiterals * 4) return {};
-  }
-
-  std::vector<std::string> literals;
-  for (auto& [prefix, pc] : level) {
-    if (prefix.empty()) return {};  // a match can begin with no literal
-    if (literals.empty() || literals.back() != prefix) {
-      literals.push_back(std::move(prefix));
+    ClassGraph::Level level = graph.WalkLiterals({{"", pc}}, kMaxLength,
+                                                 kMaxLiterals * 4);
+    int suffix = 0;
+    for (const auto& [literal, next] : level) {
+      const int rest = graph.Longest(next);
+      suffix = rest < 0 ? kMaxSuffix + 1 : std::max(suffix, rest);
+    }
+    if (suffix > kMaxSuffix) continue;
+    std::vector<std::string> literals =
+        DistinctLiterals(std::move(level), kMaxLiterals);
+    if (literals.empty()) continue;
+    // A one-byte factor that is a letter, digit or space hits at nearly
+    // every word of prose: only punctuation is rare enough.
+    if (literals[0].size() == 1) {
+      bool rare = true;
+      for (const std::string& literal : literals) {
+        const char c = literal[0];
+        rare = rare && c > ' ' && c < 0x7f && !IsAsciiAlnum(c);
+      }
+      if (!rare) continue;
+    }
+    // Longer factors hit less often; then fewer of them, then a shorter
+    // window.
+    const auto rank = [](const std::vector<std::string>& l, size_t s) {
+      return std::make_tuple(l[0].size(), SIZE_MAX - l.size(), SIZE_MAX - s);
+    };
+    if (best.literals.empty() ||
+        rank(literals, static_cast<size_t>(suffix)) >
+            rank(best.literals, best.max_suffix)) {
+      best.literals = std::move(literals);
+      best.max_suffix = static_cast<size_t>(suffix);
     }
   }
-  if (literals.size() > kMaxLiterals) return {};
-  return literals;
+  return best;
 }
 
 std::span<const int> ClosureTargets(const RegexProgram& program, int pc,

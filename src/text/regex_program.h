@@ -97,6 +97,24 @@ struct RegexProgram {
 /// through (the VM still checks them).
 std::vector<std::string> LiteralPrefixes(const RegexProgram& program);
 
+/// Required inner literals of a program: every match contains
+/// (ASCII case-insensitively) one of `literals`, all lowercase and of one
+/// length, followed by at most `max_suffix` bytes before the match ends.
+struct LiteralFactors {
+  std::vector<std::string> literals;  ///< empty: the program has none
+  size_t max_suffix = 0;
+};
+
+/// The best required factor set of `program`, for a program with no
+/// literal prefix: the literal run that one consuming instruction every
+/// match passes (a dominator of the accepting state) begins, extended like
+/// LiteralPrefixes up to 16 bytes, when what can follow it is bounded. A
+/// one-byte factor must be ASCII punctuation ("-" in [0-9]{3}-[0-9]{4}),
+/// since a letter, digit or space hits at every other word. Longer factors
+/// rank first, then smaller sets, then shorter suffixes. Empty for a
+/// program of more than 256 instructions.
+LiteralFactors RequiredFactors(const RegexProgram& program);
+
 /// The kClass / kMatch instructions the epsilon closure of `pc` reaches,
 /// every assertion taken as satisfiable, in the VM's priority order: the
 /// precomputed span in program.closure_targets when there is one, else a

@@ -104,8 +104,18 @@ std::optional<StartSetAutomaton> StartSetAutomaton::Build(
   return a;
 }
 
+void StartSetAutomaton::Prepare(Scratch* s) const {
+  if (s->states != 0) return;
+  s->sets.assign(words_, 0);
+  s->sets[match_pc_ / 64] |= uint64_t{1} << (match_pc_ % 64);
+  s->preds.clear();
+  s->delta.clear();
+  s->hash_slots.assign(kHashSlots, 0);
+  Intern(s);  // {kMatch}, row 0: never a start (no empty match)
+}
+
 uint32_t StartSetAutomaton::Intern(Scratch* s) const {
-  const size_t state = s->sets.size() / words_ - 1;
+  const size_t state = s->states;
   const uint64_t* set = s->sets.data() + state * words_;
   const uint32_t flag = Intersects(set, start_.data(), words_) ? kStarts : 0;
   size_t slot = HashSet(set, words_) & (kHashSlots - 1);
@@ -121,6 +131,7 @@ uint32_t StartSetAutomaton::Intern(Scratch* s) const {
     return kUnknown;
   }
   s->hash_slots[slot] = static_cast<uint32_t>(state + 1);
+  ++s->states;
   // The union of the set's predecessors, so each transition out of the
   // state is one AND with a column's accepting instructions.
   const size_t base = s->preds.size();
@@ -153,45 +164,74 @@ uint32_t StartSetAutomaton::AddTransition(uint32_t row, uint32_t column,
   return entry;
 }
 
-bool StartSetAutomaton::Scan(std::string_view text, size_t max_starts,
-                             Scratch* scratch,
-                             std::vector<size_t>* starts) const {
-  Scratch& s = *scratch;
-  s.sets.assign(words_, 0);
-  s.sets[match_pc_ / 64] |= uint64_t{1} << (match_pc_ % 64);
-  s.preds.clear();
-  s.delta.clear();
-  s.hash_slots.assign(kHashSlots, 0);
-  uint32_t row = Intern(&s);  // {kMatch}: never a start (no empty match)
-
-  const size_t first = starts->size();
-  const uint32_t* delta = s.delta.data();
-  for (size_t pos = text.size(); pos-- > 0;) {
+StartSetAutomaton::Outcome StartSetAutomaton::Run(
+    std::string_view text, size_t end, size_t stop, size_t floor,
+    size_t max_size, Scratch* s, std::vector<size_t>* starts,
+    size_t* reached) const {
+  Prepare(s);
+  const uint32_t* delta = s->delta.data();
+  uint32_t row = 0;  // {kMatch}
+  size_t& pos = *reached;
+  pos = end;
+  while (pos > floor) {
+    --pos;
     const uint32_t column = column_of_[static_cast<unsigned char>(text[pos])];
     uint32_t entry = delta[row + column];
     if (entry == kUnknown) {
-      entry = AddTransition(row, column, &s);
-      if (entry == kUnknown) {
-        starts->resize(first);
-        return false;
-      }
-      delta = s.delta.data();
+      entry = AddTransition(row, column, s);
+      if (entry == kUnknown) return Outcome::kOverflow;
+      delta = s->delta.data();
     }
     row = entry & ~kStarts;
-    if ((entry & kStarts) == 0) continue;
-    if (word_start_ && pos > 0 &&
-        (IsAsciiAlnum(text[pos - 1]) || text[pos - 1] == '_')) {
-      continue;
+    if ((entry & kStarts) != 0 &&
+        !(word_start_ && pos > 0 &&
+          (IsAsciiAlnum(text[pos - 1]) || text[pos - 1] == '_'))) {
+      if (starts->size() == max_size) return Outcome::kTooMany;
+      starts->push_back(pos);
     }
-    if (starts->size() - first == max_starts) {
-      starts->resize(first);
-      return false;
-    }
-    starts->push_back(pos);
+    if (row == 0 && pos <= stop) return Outcome::kDone;
+  }
+  return pos == 0 ? Outcome::kDone : Outcome::kTooMany;
+}
+
+bool StartSetAutomaton::Scan(std::string_view text, size_t max_starts,
+                             Scratch* scratch,
+                             std::vector<size_t>* starts) const {
+  const size_t first = starts->size();
+  const size_t max_size =
+      max_starts > SIZE_MAX - first ? SIZE_MAX : first + max_starts;
+  // A warm DFA that overflows the cap may hold states this text never
+  // needs: start over from an empty one, once.
+  for (bool cold = scratch->states <= 1;; cold = true) {
+    size_t reached;
+    const Outcome outcome =
+        Run(text, text.size(), 0, 0, max_size, scratch, starts, &reached);
+    if (outcome == Outcome::kDone) break;
+    starts->resize(first);
+    if (outcome == Outcome::kTooMany || cold) return false;
+    scratch->Reset();
   }
   std::reverse(starts->begin() + static_cast<std::ptrdiff_t>(first),
                starts->end());
   return true;
+}
+
+bool StartSetAutomaton::ScanBack(std::string_view text, size_t end,
+                                 size_t stop, size_t max_size, size_t* budget,
+                                 Scratch* scratch,
+                                 std::vector<size_t>* starts) const {
+  const size_t first = starts->size();
+  for (bool cold = scratch->states <= 1;; cold = true) {
+    const size_t floor = end > *budget ? end - *budget : 0;
+    size_t reached;
+    const Outcome outcome =
+        Run(text, end, stop, floor, max_size, scratch, starts, &reached);
+    *budget -= end - reached;
+    if (outcome == Outcome::kDone) return true;
+    starts->resize(first);
+    if (outcome == Outcome::kTooMany || cold) return false;
+    scratch->Reset();
+  }
 }
 
 }  // namespace webrbd

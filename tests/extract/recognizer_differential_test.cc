@@ -166,13 +166,15 @@ TEST(RecognizerDifferentialFloodTest, PrefixFloodFallsBackToPlainScan) {
 // automaton. Past its per-call state cap ((a|b){16}a read backwards has
 // 2^17 states) or with starts outnumbering the hit cap (every letter of a
 // letter run starts [a-z]+), a matcher falls back to the plain scan
-// mid-document; the table must not change.
+// mid-document; a letter-led program too large for an automaton never
+// has one. The table must not change.
 TEST(RecognizerDifferentialStartSetTest, CapsFallBackToPlainScan) {
   const Ontology ontology = ParseOntology(
       "ontology Caps\nentity E\n\n"
       "objectset Blowup\n  pattern (a|b){16}a\nend\n\n"
       "objectset Word\n  pattern [a-z]+ [a-z]\nend\n\n"
-      "objectset Name\n  pattern [A-Z][a-z]+ [A-Z]\\. [A-Z][a-z]+\nend\n")
+      "objectset Name\n  pattern [A-Z][a-z]+ [A-Z]\\. [A-Z][a-z]+\nend\n\n"
+      "objectset Long\n  pattern [a-z][a-z]{300}\nend\n")
       .value();
   const Recognizer recognizer = Recognizer::Create(ontology).value();
   const bench::LegacyRecognizer legacy =
@@ -188,6 +190,43 @@ TEST(RecognizerDifferentialStartSetTest, CapsFallBackToPlainScan) {
   for (const std::string* text : {&ab, &letters, &mixed}) {
     SCOPED_TRACE(text->substr(0, 12));
     ExpectSameTable(legacy.Recognize(*text), recognizer.Recognize(*text));
+  }
+}
+
+// Texts dense in the required inner factors that digit-led and suffix
+// patterns scan with (phone "-", time ":", ",000 miles", " credit hours",
+// "years experience", " Systems|..."): factors at text start and end,
+// overlapping windows, runs whose reverse scans never settle, and floods
+// past the hit cap or the window budget. The table must not change.
+TEST(RecognizerDifferentialFactorTest, FactorDenseTextsMatchLegacy) {
+  std::vector<std::string> texts = {
+      "-1234 at start", "call 555-", "-", ":", "12:", ":30",
+      "555-1234-5678-9012 and 10:30:45:50 and 1,000,000 miles,000 miles",
+      ",000 miles", "3 credit hours credit hours", "years experience",
+      "5 years experience10 years experience",
+      "Acme Systems Group Solutions Corporation", " Group",
+      "Room 101 9:15 CS 101 555-0000"};
+  std::string dashes, colons, digits, miles, companies;
+  for (int i = 0; i < 3000; ++i) dashes += i % 53 == 0 ? " 555-1234 " : "1-";
+  for (int i = 0; i < 3000; ++i) colons += i % 41 == 0 ? " 9:30 " : ":";
+  for (int i = 0; i < 2000; ++i) digits += i % 37 == 0 ? "-" : "12-34:56";
+  for (int i = 0; i < 800; ++i) miles += i % 9 == 0 ? "9,000 miles " : ",000 miles";
+  for (int i = 0; i < 600; ++i) {
+    companies += i % 5 == 0 ? "Acme Group " : " Group Systems";
+  }
+  for (const std::string* flood : {&dashes, &colons, &digits, &miles,
+                                    &companies}) {
+    texts.push_back(*flood);
+  }
+  for (Domain domain : kDomains) {
+    const Ontology ontology = BundledOntology(domain).value();
+    const Recognizer recognizer = Recognizer::Create(ontology).value();
+    const bench::LegacyRecognizer legacy =
+        bench::LegacyRecognizer::Create(ontology).value();
+    for (const std::string& text : texts) {
+      SCOPED_TRACE(DomainName(domain) + ": " + text.substr(0, 24));
+      ExpectSameTable(legacy.Recognize(text), recognizer.Recognize(text));
+    }
   }
 }
 

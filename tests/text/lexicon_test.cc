@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "util/rng.h"
 
 namespace webrbd {
 namespace {
@@ -187,16 +190,14 @@ TEST(LexiconSetTest, SharedPassEqualsPerLexiconFindAll) {
   const std::string text =
       "Ford F-150 in Salt Lake City; Honda Accord, grand am, Grand Junction "
       "salt lake GRAND civic";
-  LexiconWords words;
-  words.Tokenize(text);
-  std::vector<uint32_t> ids;
-  set.Lookup(words, &ids);
+  LexiconTokens tokens;
+  set.Tokenize(text, &tokens);
   const Lexicon* lexicons[] = {&makes, &models, &empty, &places};
   for (size_t l = 0; l < 4; ++l) {
     SCOPED_TRACE(l);
     std::vector<std::pair<size_t, size_t>> shared;
-    set.ForEachMatch(l, ids, [&](size_t first, size_t count) {
-      shared.emplace_back(words.begin(first), words.end(first + count - 1));
+    set.ForEachMatch(l, tokens.ids(), [&](size_t first, size_t count) {
+      shared.emplace_back(tokens.begin(first), tokens.end(first + count - 1));
     });
     std::vector<std::pair<size_t, size_t>> own;
     for (const LexiconMatch& match : lexicons[l]->FindAll(text)) {
@@ -205,6 +206,97 @@ TEST(LexiconSetTest, SharedPassEqualsPerLexiconFindAll) {
     EXPECT_EQ(shared, own);
   }
   EXPECT_TRUE(LexiconSet({&empty}).empty());
+}
+
+// Phrase words are matched token by token, and tokens are split at any
+// non-word byte, so a phrase spans punctuation as well as whitespace.
+TEST(LexiconTest, PhraseMatchesAcrossAnyNonWordRun) {
+  const Lexicon places({"salt lake city"});
+  const std::vector<LexiconMatch> matches =
+      places.FindAll("in Salt, Lake City");
+  ASSERT_EQ(matches.size(), 1u);
+  EXPECT_EQ(matches[0].begin, 3u);
+  EXPECT_EQ(matches[0].end, 18u);
+  EXPECT_EQ(matches[0].entry, "salt lake city");
+
+  const LexiconSet set({&places});
+  LexiconTokens tokens;
+  set.Tokenize("in Salt, Lake City", &tokens);
+  std::vector<std::pair<size_t, size_t>> shared;
+  set.ForEachMatch(0, tokens.ids(), [&](size_t first, size_t count) {
+    shared.emplace_back(tokens.begin(first), tokens.end(first + count - 1));
+  });
+  EXPECT_EQ(shared, (std::vector<std::pair<size_t, size_t>>{{3, 18}}));
+}
+
+// Word pieces for the fused-scan texts: vocabulary words in mixed case,
+// near misses, the in-word punctuation ' - + / #, separators, bytes >= 0x80
+// and runs long enough to make tokens of 64 bytes and more.
+std::string RandomLexiconText(Rng* rng, size_t size) {
+  static const char* const kPieces[] = {
+      "Ford",  "FORD",   "ford's", "Grand",     "am",      "Am",    "Salt",
+      "lake",  "CITY",   "f-150",  "F-150s",    "c++",     "C#",    "tcp/ip",
+      "o'brien", " ",    "  ",     ", ",        ".",       "\n",   "-",
+      "#",     "/",      "'",      "\xc3\xa9", "\xff",  "x",     "zz",
+      "grandam", "a-b-c-d-e-f-g-h-i-j-k-l-m-n-o-p-q-r-s-t-u-v-w-x-y-z-"};
+  std::string out;
+  while (out.size() < size) {
+    const char* piece = kPieces[rng->Below(std::size(kPieces))];
+    out += piece;
+    if (rng->Chance(0.05)) {
+      // A long word-byte run: one token well past 64 bytes.
+      out += std::string(60 + rng->Below(20), "abcdef"[rng->Below(6)]);
+    }
+  }
+  return out;
+}
+
+// The fused scan (tokenize, hash and look up in one pass, unknown runs
+// collapsed) matches each lexicon exactly as its own FindAll, on seeded
+// random texts.
+TEST(LexiconSetFusedScanTest, EqualsPerLexiconFindAllOnRandomTexts) {
+  const std::string long_word(70, 'a');
+  const Lexicon makes({"Ford", "Honda", "Grand", "F-150", "C++", "C#"});
+  const Lexicon models({"Grand Am", "Accord", "ford f-150", "tcp/ip",
+                        "O'Brien", long_word});
+  const Lexicon empty;
+  const Lexicon places({"salt lake city", "salt", "lake", "x zz x",
+                        "caf\xc3\xa9", "\xff"});
+  const Lexicon* lexicons[] = {&makes, &models, &empty, &places};
+  const LexiconSet set({&makes, &models, &empty, &places});
+  LexiconTokens tokens;  // reused across texts, as the recognizer does
+  for (int seed = 0; seed < 64; ++seed) {
+    Rng rng(static_cast<uint64_t>(seed), /*stream=*/0x1e71);
+    std::string text = RandomLexiconText(&rng, rng.Below(400));
+    if (seed % 8 == 0) text += " " + long_word;
+    SCOPED_TRACE("seed=" + std::to_string(seed) + " text=\"" + text + "\"");
+    set.Tokenize(text, &tokens);
+    for (size_t l = 0; l < std::size(lexicons); ++l) {
+      SCOPED_TRACE(l);
+      std::vector<std::pair<size_t, size_t>> shared;
+      set.ForEachMatch(l, tokens.ids(), [&](size_t first, size_t count) {
+        shared.emplace_back(tokens.begin(first),
+                            tokens.end(first + count - 1));
+      });
+      std::vector<std::pair<size_t, size_t>> own;
+      for (const LexiconMatch& match : lexicons[l]->FindAll(text)) {
+        own.emplace_back(match.begin, match.end);
+      }
+      ASSERT_EQ(shared, own);
+    }
+  }
+}
+
+// With no vocabulary, a scan produces no tokens at all.
+TEST(LexiconSetFusedScanTest, EmptyVocabularyYieldsNoTokens) {
+  const Lexicon empty;
+  for (const LexiconSet& set : {LexiconSet(), LexiconSet({&empty, &empty})}) {
+    EXPECT_TRUE(set.empty());
+    LexiconTokens tokens;
+    set.Tokenize("Ford Grand Am in Salt Lake City", &tokens);
+    EXPECT_EQ(tokens.size(), 0u);
+    EXPECT_TRUE(tokens.ids().empty());
+  }
 }
 
 }  // namespace

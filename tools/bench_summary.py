@@ -17,6 +17,11 @@ the headline MB/s numbers the README and CI artifacts track:
                                the three pages (obituary, template_skew,
                                tag_storm) together, the speedup, and the
                                speedup per page
+    recognizer_corpus / _legacy
+                               BM_RecognizerCorpus/<domain> vs the frozen
+                               recognizer, each rotating through the
+                               domain's paper-corpus texts: MB/s, the
+                               speedup, and the speedup per domain
     recognizer_compile_us      BM_RecognizerCompile: Recognizer::Create
                                for all four bundled ontologies
     dbgen / _legacy            BM_Dbgen/<domain> vs the frozen copying
@@ -160,6 +165,28 @@ def main():
             summary[f"recognizer_speedup_{domain}"] = round(
                 runs[f"BM_Recognizer/{d}"]["bytes_per_second"]
                 / runs[f"BM_RecognizerLegacy/{d}"]["bytes_per_second"], 2)
+
+    # The same pair over each domain's paper corpus in rotation
+    # (BM_RecognizerCorpus/<d>): the recognizer's warm per-thread state
+    # measured across different documents rather than one text.
+    for key, prefix in [("recognizer_corpus", "BM_RecognizerCorpus/"),
+                        ("recognizer_corpus_legacy",
+                         "BM_RecognizerCorpusLegacy/")]:
+        texts = [runs.get(f"{prefix}{d}") for d in range(len(domains))]
+        if all(texts):
+            seconds = sum(real_seconds(b) for b in texts)
+            total = sum(b["bytes_per_second"] * real_seconds(b) for b in texts)
+            summary[key + "_mb_s"] = round(total / seconds / 1e6, 1)
+    if ("recognizer_corpus_mb_s" in summary
+            and "recognizer_corpus_legacy_mb_s" in summary):
+        summary["recognizer_corpus_speedup"] = round(
+            summary["recognizer_corpus_mb_s"]
+            / summary["recognizer_corpus_legacy_mb_s"], 2)
+        for d, domain in enumerate(domains):
+            summary[f"recognizer_corpus_speedup_{domain}"] = round(
+                runs[f"BM_RecognizerCorpus/{d}"]["bytes_per_second"]
+                / runs[f"BM_RecognizerCorpusLegacy/{d}"]["bytes_per_second"],
+                2)
 
     if "BM_RecognizerCompile" in runs:
         summary["recognizer_compile_us"] = round(
