@@ -3,7 +3,6 @@
 #include "extract/recognizer.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <span>
 
@@ -30,48 +29,29 @@ struct Hit {
   uint32_t order() const { return static_cast<uint32_t>(rank >> 30) & 3; }
 };
 
-// Recognizers whose start-set DFAs one thread keeps warm at once; the
-// least recently used one's are dropped for a new one.
-constexpr size_t kWarmRecognizers = 4;
-
-// What one thread keeps across Recognize calls: the Pike VM, and for the
-// last few recognizers it ran, each matcher's lazily built start-set DFA.
-// A DFA depends only on its automaton, so a warm one gives the same
-// positions as a cold one and only skips rebuilding states. Both are
-// bounded by program size and kMaxStates. The per-document buffers stay
-// per call: held across documents, they fragment the thread's heap under
-// the other stages' allocations and raise peak RSS by a third on the
-// crawl benchmark.
+// What one thread keeps across Recognize calls: the Pike VM, and the
+// start-set DFAs of the recognizer it ran last, one per matcher. A DFA
+// depends only on its automaton, so a warm one gives the same positions as
+// a cold one and only skips rebuilding states. Both are bounded by program
+// size and kMaxStates. A thread that runs another recognizer drops the
+// DFAs and starts them cold. The per-document buffers stay per call: held
+// across documents, they fragment the thread's heap under the other
+// stages' allocations and raise peak RSS by a third on the crawl
+// benchmark.
 struct ThreadScratch {
-  struct WarmDfas {
-    uint64_t recognizer = 0;  // Recognizer id; 0: unused
-    uint64_t last_use = 0;
-    std::vector<StartSetAutomaton::Scratch> dfas;  // by matcher index
-  };
-
   // The DFAs of recognizer `id` with `matchers` matchers, warm if this
-  // thread ran it recently.
+  // thread ran it last.
   std::vector<StartSetAutomaton::Scratch>& DfasFor(uint64_t id,
                                                     size_t matchers) {
-    ++clock;
-    WarmDfas* slot = &warm[0];
-    for (WarmDfas& candidate : warm) {
-      if (candidate.recognizer == id) {
-        slot = &candidate;
-        break;
-      }
-      if (candidate.last_use < slot->last_use) slot = &candidate;
+    if (recognizer != id) {
+      recognizer = id;
+      dfas.assign(matchers, StartSetAutomaton::Scratch{});
     }
-    if (slot->recognizer != id) {
-      slot->recognizer = id;
-      slot->dfas.assign(matchers, StartSetAutomaton::Scratch{});
-    }
-    slot->last_use = clock;
-    return slot->dfas;
+    return dfas;
   }
 
-  std::array<WarmDfas, kWarmRecognizers> warm;
-  uint64_t clock = 0;
+  uint64_t recognizer = 0;  // Recognizer id; 0: none yet
+  std::vector<StartSetAutomaton::Scratch> dfas;  // by matcher index
   PikeVm vm;
 };
 

@@ -33,10 +33,11 @@ class Recognizer {
   ///
   /// Thread-safe on a const Recognizer, without locks: the Recognizer is
   /// never written. Set-up scratch belongs to the calling thread, not the
-  /// call: a thread_local keeps the Pike VM and, for the last few
-  /// recognizers the thread ran (keyed by a process-unique id, never by
-  /// address), each matcher's lazily built start-set DFA, so a thread
-  /// pays that set-up once rather than per document. Both are bounded by
+  /// call: a thread_local keeps the Pike VM and, for the recognizer the
+  /// thread ran last (keyed by a process-unique id, never by address),
+  /// each matcher's lazily built start-set DFA, so a thread pays that
+  /// set-up once per run of documents rather than per document; switching
+  /// recognizers starts the DFAs cold again. Both are bounded by
   /// program size and StartSetAutomaton::kMaxStates. Warm state changes
   /// no output. The per-document buffers belong to the call.
   DataRecordTable Recognize(std::string_view plain_text) const;

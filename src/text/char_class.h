@@ -3,6 +3,7 @@
 #ifndef WEBRBD_TEXT_CHAR_CLASS_H_
 #define WEBRBD_TEXT_CHAR_CLASS_H_
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -30,6 +31,30 @@ class ByteSet {
       if ((words_[i] & ~other.words_[i]) != 0) return false;
     }
     return true;
+  }
+
+  /// The bytes in both sets.
+  ByteSet Intersect(const ByteSet& other) const {
+    ByteSet out;
+    for (int i = 0; i < 4; ++i) out.words_[i] = words_[i] & other.words_[i];
+    return out;
+  }
+
+  /// The bytes of this set that are not in `other`.
+  ByteSet Subtract(const ByteSet& other) const {
+    ByteSet out;
+    for (int i = 0; i < 4; ++i) out.words_[i] = words_[i] & ~other.words_[i];
+    return out;
+  }
+
+  /// Calls `f(byte)` for each byte of the set, in ascending order.
+  template <typename F>
+  void ForEach(F&& f) const {
+    for (int i = 0; i < 4; ++i) {
+      for (uint64_t bits = words_[i]; bits != 0; bits &= bits - 1) {
+        f(static_cast<unsigned char>(i * 64 + std::countr_zero(bits)));
+      }
+    }
   }
 
   /// Number of bytes in the set.

@@ -173,70 +173,77 @@ uint64_t LengthBit(size_t length) {
 }  // namespace
 
 LexiconSet::LexiconSet(const std::vector<const Lexicon*>& lexicons) {
-  // Pass 1: ids for every word of every phrase.
-  std::unordered_map<std::string, uint32_t, internal::WordHash,
-                     std::equal_to<>>
-      vocabulary;
-  for (const Lexicon* lexicon : lexicons) {
-    lexicon->ForEachPhrase([&](const std::vector<std::string>& words) {
-      for (const std::string& word : words) {
-        auto [it, added] = vocabulary.try_emplace(
-            word, static_cast<uint32_t>(vocabulary.size()));
-        if (!added) continue;
-        chars_ += word;
-        word_ends_.push_back(static_cast<uint32_t>(chars_.size()));
-        length_mask_ |= LengthBit(word.size());
-      }
+  // Pass 1: every lexicon's phrases as runs of word ids, interning each
+  // new word in the flat table as it is met.
+  std::vector<std::vector<uint32_t>> ids(lexicons.size());
+  std::vector<std::vector<PhraseIds>> runs(lexicons.size());
+  for (size_t l = 0; l < lexicons.size(); ++l) {
+    lexicons[l]->ForEachPhrase([&](const std::vector<std::string>& words) {
+      runs[l].push_back(PhraseIds{static_cast<uint32_t>(ids[l].size()),
+                                  static_cast<uint32_t>(words.size())});
+      for (const std::string& word : words) ids[l].push_back(Intern(word));
     });
   }
-  // The flat lookup table, at most half full.
-  if (!word_ends_.empty()) {
-    size_t capacity = 16;
-    while (capacity < 2 * word_ends_.size()) capacity *= 2;
-    slots_.resize(capacity);
-    for (uint32_t id = 0; id < word_ends_.size(); ++id) {
-      const uint32_t begin = id == 0 ? 0 : word_ends_[id - 1];
-      uint64_t h = kHashSeed;
-      for (uint32_t k = begin; k < word_ends_[id]; ++k) {
-        h = HashStep(h, chars_[k]);
-      }
-      h = FinishHash(h);
-      size_t slot = h & (capacity - 1);
-      while (slots_[slot].word != kUnknownWord) {
-        slot = (slot + 1) & (capacity - 1);
-      }
-      slots_[slot] = Slot{static_cast<uint32_t>(h >> 32), id};
-    }
-  }
-  // Pass 2: each lexicon's phrases as id runs, bucketed by first id with a
-  // counting sort, which keeps each bucket's longest-first order.
-  const size_t vocabulary_size = vocabulary.size();
-  std::vector<uint32_t> ids;
-  std::vector<PhraseIds> runs;
-  for (const Lexicon* lexicon : lexicons) {
+  // Pass 2: each lexicon's runs bucketed by first id with a counting sort,
+  // which keeps each bucket's longest-first order.
+  const size_t vocabulary_size = word_ends_.size();
+  for (size_t l = 0; l < lexicons.size(); ++l) {
     Index& index = lexicons_.emplace_back();
-    if (lexicon->empty()) continue;
-    ids.clear();
-    runs.clear();
-    lexicon->ForEachPhrase([&](const std::vector<std::string>& words) {
-      runs.push_back(PhraseIds{static_cast<uint32_t>(ids.size()),
-                               static_cast<uint32_t>(words.size())});
-      for (const std::string& word : words) {
-        ids.push_back(vocabulary.find(word)->second);
-      }
-    });
+    if (runs[l].empty()) continue;
     index.first.assign(vocabulary_size + 1, 0);
-    for (const PhraseIds& run : runs) ++index.first[ids[run.begin] + 1];
+    for (const PhraseIds& run : runs[l]) ++index.first[ids[l][run.begin] + 1];
     for (size_t w = 0; w < vocabulary_size; ++w) {
       index.first[w + 1] += index.first[w];
     }
     std::vector<uint32_t> fill(index.first.begin(), index.first.end() - 1);
-    index.phrases.resize(runs.size());
-    for (const PhraseIds& run : runs) {
-      index.phrases[fill[ids[run.begin]]++] = run;
+    index.phrases.resize(runs[l].size());
+    for (const PhraseIds& run : runs[l]) {
+      index.phrases[fill[ids[l][run.begin]]++] = run;
     }
-    index.words = ids;
+    index.words = std::move(ids[l]);
   }
+}
+
+uint32_t LexiconSet::Intern(std::string_view word) {
+  uint64_t h = kHashSeed;
+  for (char c : word) h = HashStep(h, c);
+  h = FinishHash(h);
+  // Keep the table at most half full; the first word allocates it.
+  if (2 * (word_ends_.size() + 1) > slots_.size()) {
+    slots_.assign(std::max<size_t>(16, 2 * slots_.size()), Slot{});
+    for (uint32_t id = 0; id < word_ends_.size(); ++id) {
+      uint64_t g = kHashSeed;
+      for (char c : Word(id)) g = HashStep(g, c);
+      Place(FinishHash(g), id);
+    }
+  }
+  const size_t mask = slots_.size() - 1;
+  for (size_t slot = h & mask; slots_[slot].word != kUnknownWord;
+       slot = (slot + 1) & mask) {
+    const Slot entry = slots_[slot];
+    if (entry.tag == static_cast<uint32_t>(h >> 32) &&
+        Word(entry.word) == word) {
+      return entry.word;
+    }
+  }
+  const uint32_t id = static_cast<uint32_t>(word_ends_.size());
+  chars_ += word;
+  word_ends_.push_back(static_cast<uint32_t>(chars_.size()));
+  length_mask_ |= LengthBit(word.size());
+  Place(h, id);
+  return id;
+}
+
+void LexiconSet::Place(uint64_t hash, uint32_t id) {
+  const size_t mask = slots_.size() - 1;
+  size_t slot = hash & mask;
+  while (slots_[slot].word != kUnknownWord) slot = (slot + 1) & mask;
+  slots_[slot] = Slot{static_cast<uint32_t>(hash >> 32), id};
+}
+
+std::string_view LexiconSet::Word(uint32_t id) const {
+  const uint32_t begin = id == 0 ? 0 : word_ends_[id - 1];
+  return std::string_view(chars_).substr(begin, word_ends_[id] - begin);
 }
 
 uint32_t LexiconSet::Find(const char* token, size_t length,

@@ -229,6 +229,12 @@ class LexiconSet {
   // The id of the token text[begin, begin + length) with hash `hash`, or
   // kUnknownWord.
   uint32_t Find(const char* token, size_t length, uint64_t hash) const;
+  // The id of vocabulary word `word` (lowercase), added if new.
+  uint32_t Intern(std::string_view word);
+  // Puts `id` in the first free slot from `hash`'s.
+  void Place(uint64_t hash, uint32_t id);
+  // The lowercased bytes of word `id`.
+  std::string_view Word(uint32_t id) const;
 
   std::vector<Slot> slots_;  // a power of two, at most half full
   // Word id -> its lowercased bytes: chars_[word_ends_[id - 1],

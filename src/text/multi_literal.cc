@@ -26,30 +26,46 @@ MultiLiteralMatcher::MultiLiteralMatcher(const std::vector<Literal>& literals) {
 
   // Trie. While it is built, 0 in delta_ means "no edge": the root is
   // never anyone's child.
-  std::vector<std::vector<Output>> own(1);
   delta_.assign(columns_, 0);
+  std::vector<uint32_t> ends;  // literal -> the state it ends at; 0: empty
+  ends.reserve(literals.size());
   for (const Literal& literal : literals) {
-    if (literal.text.empty()) continue;
     uint32_t state = 0;
     for (char c : literal.text) {
       const size_t slot =
           state * columns_ + column_of_[static_cast<unsigned char>(c)];
       if (delta_[slot] == 0) {
-        delta_[slot] = static_cast<uint32_t>(own.size());
-        own.emplace_back();
+        delta_[slot] = static_cast<uint32_t>(delta_.size() / columns_);
         delta_.resize(delta_.size() + columns_, 0);
       }
       state = delta_[slot];
     }
-    own[state].push_back(
-        Output{literal.tag, static_cast<uint32_t>(literal.text.size())});
+    ends.push_back(state);
+  }
+  // Each state's own literals, in literal order: own[own_first[s],
+  // own_first[s + 1]) by a counting sort on the end states.
+  const size_t states = delta_.size() / columns_;
+  std::vector<uint32_t> own_first(states + 1, 0);
+  for (uint32_t end : ends) {
+    if (end != 0) ++own_first[end + 1];
+  }
+  for (size_t state = 0; state < states; ++state) {
+    own_first[state + 1] += own_first[state];
+  }
+  std::vector<Output> own(own_first[states]);
+  {
+    std::vector<uint32_t> fill(own_first.begin(), own_first.end() - 1);
+    for (size_t i = 0; i < literals.size(); ++i) {
+      if (ends[i] == 0) continue;
+      own[fill[ends[i]]++] = Output{
+          literals[i].tag, static_cast<uint32_t>(literals[i].text.size())};
+    }
   }
 
   // Breadth-first: failure links, then every missing edge is replaced by
   // the failure state's edge, giving a dense DFA. A state's outputs are its
   // own literals followed by its failure state's (the suffixes), which
   // breadth-first order has already laid out.
-  const size_t states = own.size();
   std::vector<uint32_t> fail(states, 0);
   out_range_.assign(states, OutputRange{0, 0});
   std::vector<uint32_t> queue;
@@ -60,7 +76,8 @@ MultiLiteralMatcher::MultiLiteralMatcher(const std::vector<Literal>& literals) {
     const uint32_t state = queue[head];
     const OutputRange suffix = out_range_[fail[state]];
     out_range_[state].begin = static_cast<uint32_t>(outputs_.size());
-    outputs_.insert(outputs_.end(), own[state].begin(), own[state].end());
+    outputs_.insert(outputs_.end(), own.begin() + own_first[state],
+                    own.begin() + own_first[state + 1]);
     for (uint32_t k = suffix.begin; k < suffix.end; ++k) {
       const Output output = outputs_[k];
       outputs_.push_back(output);

@@ -46,27 +46,37 @@ std::optional<StartSetAutomaton> StartSetAutomaton::Build(
   };
 
   // Byte classes: bytes no kClass instruction tells apart share a column.
-  // Each distinct class splits every column into its members and the rest.
+  // Each distinct class splits every column into its members and the rest;
+  // columns are then numbered in the order of their smallest byte.
+  std::vector<ByteSet> parts(1);
+  parts[0].SetRange(0, 255);
   std::vector<bool> used(program.class_bits.size(), false);
   for (size_t pc = 0; pc < size; ++pc) {
     const RegexInst& inst = program.insts[pc];
     if (inst.op == RegexInst::Op::kMatch) a.match_pc_ = static_cast<int>(pc);
-    if (inst.op == RegexInst::Op::kClass) used[inst.class_id] = true;
-  }
-  uint32_t columns = 1;
-  std::vector<int> split;
-  for (size_t id = 0; id < used.size(); ++id) {
-    if (!used[id]) continue;
-    split.assign(columns * 2, -1);
-    uint32_t next = 0;
-    for (int b = 0; b < 256; ++b) {
-      const bool member =
-          program.class_bits[id].Test(static_cast<unsigned char>(b));
-      const size_t key = a.column_of_[b] * 2 + (member ? 1 : 0);
-      if (split[key] < 0) split[key] = static_cast<int>(next++);
-      a.column_of_[b] = static_cast<uint8_t>(split[key]);
+    if (inst.op != RegexInst::Op::kClass || used[inst.class_id]) continue;
+    used[inst.class_id] = true;
+    const ByteSet& members = program.class_bits[inst.class_id];
+    for (size_t p = 0, n = parts.size(); p < n; ++p) {
+      const ByteSet in = parts[p].Intersect(members);
+      const ByteSet out = parts[p].Subtract(members);
+      if (in.First() >= 0 && out.First() >= 0) {
+        parts[p] = in;
+        parts.push_back(out);
+      }
     }
-    columns = next;
+  }
+  uint8_t part_of[256];
+  for (size_t p = 0; p < parts.size(); ++p) {
+    parts[p].ForEach(
+        [&](unsigned char b) { part_of[b] = static_cast<uint8_t>(p); });
+  }
+  std::vector<int> column_of_part(parts.size(), -1);
+  uint32_t columns = 0;
+  for (int b = 0; b < 256; ++b) {
+    int& column = column_of_part[part_of[b]];
+    if (column < 0) column = static_cast<int>(columns++);
+    a.column_of_[b] = static_cast<uint8_t>(column);
   }
   a.columns_ = columns;
 
@@ -200,16 +210,9 @@ bool StartSetAutomaton::Scan(std::string_view text, size_t max_starts,
   const size_t first = starts->size();
   const size_t max_size =
       max_starts > SIZE_MAX - first ? SIZE_MAX : first + max_starts;
-  // A warm DFA that overflows the cap may hold states this text never
-  // needs: start over from an empty one, once.
-  for (bool cold = scratch->states <= 1;; cold = true) {
-    size_t reached;
-    const Outcome outcome =
-        Run(text, text.size(), 0, 0, max_size, scratch, starts, &reached);
-    if (outcome == Outcome::kDone) break;
-    starts->resize(first);
-    if (outcome == Outcome::kTooMany || cold) return false;
-    scratch->Reset();
+  size_t budget = SIZE_MAX;  // a cold retry rereads the text
+  if (!ScanBack(text, text.size(), 0, max_size, &budget, scratch, starts)) {
+    return false;
   }
   std::reverse(starts->begin() + static_cast<std::ptrdiff_t>(first),
                starts->end());
@@ -221,6 +224,8 @@ bool StartSetAutomaton::ScanBack(std::string_view text, size_t end,
                                  Scratch* scratch,
                                  std::vector<size_t>* starts) const {
   const size_t first = starts->size();
+  // A warm DFA that overflows the cap may hold states this text never
+  // needs: start over from an empty one, once.
   for (bool cold = scratch->states <= 1;; cold = true) {
     const size_t floor = end > *budget ? end - *budget : 0;
     size_t reached;

@@ -45,7 +45,7 @@ class StartSetAutomaton {
   /// caller falls back to the start-byte VM.
   static constexpr size_t kMaxStates = 128;
 
-/// Derives the reverse NFA's tables from `program`'s precomputed
+  /// Derives the reverse NFA's tables from `program`'s precomputed
   /// closures. nullopt when the program has more than kMaxInstructions
   /// instructions or can match the empty string (every position would be
   /// a start).
@@ -73,7 +73,8 @@ class StartSetAutomaton {
   /// that begins at word starts, positions right after a word byte are
   /// left out). Returns false, with *starts as it was, when the scan would
   /// report more than `max_starts` positions or build more than
-  /// kMaxStates DFA states from an empty Scratch.
+  /// kMaxStates DFA states from an empty Scratch. This is ScanBack over
+  /// the whole text, reversed.
   bool Scan(std::string_view text, size_t max_starts, Scratch* scratch,
             std::vector<size_t>* starts) const;
 
@@ -82,11 +83,10 @@ class StartSetAutomaton {
   /// where a match that ends at or before `end` can begin. It stops once it
   /// has read position `stop` and no partial match is in progress, so it
   /// reports the start of every match that ends at or before `end` and
-  /// covers position `stop`. Reads at most *budget bytes and takes what it
-  /// read off
-  /// *budget. Returns false, with *starts as it was, when the budget runs
-  /// out, *starts would grow past `max_size` entries, or an empty Scratch
-  /// would need more than kMaxStates states.
+  /// covers position `stop`. Reads at most *budget bytes and subtracts the
+  /// bytes it read from *budget. Returns false, with *starts as it was,
+  /// when the budget runs out, *starts would grow past `max_size` entries,
+  /// or an empty Scratch would need more than kMaxStates states.
   bool ScanBack(std::string_view text, size_t end, size_t stop,
                 size_t max_size, size_t* budget, Scratch* scratch,
                 std::vector<size_t>* starts) const;

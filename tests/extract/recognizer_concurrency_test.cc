@@ -86,9 +86,9 @@ TEST(RecognizerConcurrencyTest, FourThreadsShareOneRecognizer) {
 }
 
 // One thread alternates two recognizers text by text, then destroys one
-// and builds another (which may reuse its address), and cycles through
-// more recognizers than it keeps warm; every table must equal a fresh
-// recognizer's.
+// and builds another (which may reuse its address), and round-robins six
+// recognizers, so every call finds the other's DFAs; every table must
+// equal a fresh recognizer's.
 TEST(RecognizerConcurrencyTest, OneThreadAlternatesAndRebuildsRecognizers) {
   std::vector<std::vector<std::vector<Row>>> expected;
   for (Domain domain : kDomains) {
@@ -111,7 +111,7 @@ TEST(RecognizerConcurrencyTest, OneThreadAlternatesAndRebuildsRecognizers) {
     EXPECT_EQ(RecognizeAll(*first), expected[2]);
     EXPECT_EQ(RecognizeAll(*second), expected[3]);
   }
-  // Six live recognizers, round robin: more than one thread keeps warm.
+  // Six live recognizers, round robin.
   std::vector<std::unique_ptr<Recognizer>> many;
   for (int r = 0; r < 6; ++r) many.push_back(make(kDomains[r % 4]));
   for (size_t i = 0; i < Texts().size(); ++i) {

@@ -193,5 +193,31 @@ TEST(CharClassTest, ByteSetAgreesWithRanges) {
   }
 }
 
+// Intersect, Subtract and ForEach agree with Test on every byte, across
+// the 64-byte word edges.
+TEST(CharClassTest, ByteSetSetOperationsAgreeWithTest) {
+  const ByteSet digits = CharClass::Digits().ToByteSet();
+  const ByteSet edges = CharClass::Range(60, 200).ToByteSet();
+  const ByteSet high = CharClass::Range(128, 255).ToByteSet();
+  for (const ByteSet* a : {&digits, &edges, &high}) {
+    for (const ByteSet* b : {&digits, &edges, &high}) {
+      const ByteSet both = a->Intersect(*b);
+      const ByteSet only = a->Subtract(*b);
+      for (int c = 0; c < 256; ++c) {
+        const auto byte = static_cast<unsigned char>(c);
+        EXPECT_EQ(both.Test(byte), a->Test(byte) && b->Test(byte)) << c;
+        EXPECT_EQ(only.Test(byte), a->Test(byte) && !b->Test(byte)) << c;
+      }
+    }
+    std::vector<int> visited;
+    a->ForEach([&](unsigned char c) { visited.push_back(c); });
+    std::vector<int> expected;
+    for (int c = 0; c < 256; ++c) {
+      if (a->Test(static_cast<unsigned char>(c))) expected.push_back(c);
+    }
+    EXPECT_EQ(visited, expected);
+  }
+}
+
 }  // namespace
 }  // namespace webrbd

@@ -287,6 +287,44 @@ TEST(LexiconSetFusedScanTest, EqualsPerLexiconFindAllOnRandomTexts) {
   }
 }
 
+// A vocabulary large enough to regrow the lookup table several times
+// keeps every word findable, and words repeated across lexicons share one
+// id.
+TEST(LexiconSetFusedScanTest, LargeVocabularyEqualsPerLexiconFindAll) {
+  std::vector<std::string> first_entries;
+  std::vector<std::string> second_entries;
+  for (int i = 0; i < 1500; ++i) {
+    first_entries.push_back("w" + std::to_string(i));
+    if (i % 3 == 0) {
+      second_entries.push_back("w" + std::to_string(i) + " w" +
+                               std::to_string(i + 1));
+    }
+  }
+  const Lexicon first(first_entries);
+  const Lexicon second(second_entries);
+  const LexiconSet set({&first, &second});
+  std::string text;
+  for (int i = 0; i < 3000; i += 7) text += "W" + std::to_string(i) + " x ";
+  text += "w300 w301 w1499 w1500";
+  LexiconTokens tokens;
+  set.Tokenize(text, &tokens);
+  const Lexicon* lexicons[] = {&first, &second};
+  for (size_t l = 0; l < std::size(lexicons); ++l) {
+    SCOPED_TRACE(l);
+    std::vector<std::pair<size_t, size_t>> shared;
+    set.ForEachMatch(l, tokens.ids(), [&](size_t first_token, size_t count) {
+      shared.emplace_back(tokens.begin(first_token),
+                          tokens.end(first_token + count - 1));
+    });
+    std::vector<std::pair<size_t, size_t>> own;
+    for (const LexiconMatch& match : lexicons[l]->FindAll(text)) {
+      own.emplace_back(match.begin, match.end);
+    }
+    EXPECT_FALSE(own.empty());
+    EXPECT_EQ(shared, own);
+  }
+}
+
 // With no vocabulary, a scan produces no tokens at all.
 TEST(LexiconSetFusedScanTest, EmptyVocabularyYieldsNoTokens) {
   const Lexicon empty;
