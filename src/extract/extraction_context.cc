@@ -267,33 +267,6 @@ Result<ExtractionOutcome> ExtractionContext::ExtractDocumentInto(
       /*document_index=*/0);
 }
 
-Result<IntegratedResult> ExtractionContext::ExtractDocumentShim(
-    std::string_view html, DocumentArena& arena) const {
-  CatalogSink sink(generator_);
-  auto outcome = ExtractDocumentInto(html, arena, sink);
-  if (!outcome.ok()) return outcome.status();
-  auto catalog = sink.TakeCatalog(0);
-  if (!catalog.ok()) return catalog.status();
-  IntegratedResult result;
-  result.separator = std::move(outcome->separator);
-  result.discovery = std::move(outcome->discovery);
-  result.table = std::move(outcome->table);
-  result.partitions = std::move(outcome->partitions);
-  result.catalog = std::move(catalog).value();
-  return result;
-}
-
-Result<IntegratedResult> ExtractionContext::ExtractDocument(
-    std::string_view html) const {
-  DocumentArena arena;
-  return ExtractDocumentShim(html, arena);
-}
-
-Result<IntegratedResult> ExtractionContext::ExtractDocument(
-    std::string_view html, DocumentArena& arena) const {
-  return ExtractDocumentShim(html, arena);
-}
-
 Result<ExtractionOutcome> ExtractionContext::ExtractDocumentImpl(
     std::string_view html, DocumentArena& arena, bool use_cache,
     RecordSink& sink, uint32_t document_index) const {
@@ -666,56 +639,6 @@ Result<BatchOutcome> ExtractionContext::ExtractCorpusInto(
   views.reserve(corpus.size());
   for (const std::string& document : corpus) views.emplace_back(document);
   return ExtractCorpusInto(views, sink, run);
-}
-
-Result<BatchResult> ExtractionContext::ExtractCorpus(
-    const std::vector<std::string_view>& corpus,
-    const BatchRunOptions& run) const {
-  // Shim: the sink-based engine into per-document catalogs. CatalogSink
-  // isolates insert errors per document (Write never fails the batch), so
-  // a document whose records cannot materialize fails alone, exactly as
-  // the pre-sink implementation did.
-  CatalogSink sink(generator_);
-  auto outcome = ExtractCorpusInto(corpus, sink, run);
-  if (!outcome.ok()) return outcome.status();
-
-  BatchResult batch;
-  batch.stats = std::move(outcome->stats);
-  batch.documents.reserve(outcome->documents.size());
-  for (size_t i = 0; i < outcome->documents.size(); ++i) {
-    Result<ExtractionOutcome>& doc = outcome->documents[i];
-    if (!doc.ok()) {
-      batch.documents.emplace_back(doc.status());
-      continue;
-    }
-    auto catalog = sink.TakeCatalog(static_cast<uint32_t>(i));
-    if (!catalog.ok()) {
-      // Catalog materialization failed after a successful extraction:
-      // re-book the document as failed so the stats match its result.
-      --batch.stats.succeeded;
-      ++batch.stats.failed;
-      ++batch.stats.failures_by_code[std::string(
-          StatusCodeName(catalog.status().code()))];
-      batch.documents.emplace_back(catalog.status());
-      continue;
-    }
-    IntegratedResult result;
-    result.separator = std::move(doc->separator);
-    result.discovery = std::move(doc->discovery);
-    result.table = std::move(doc->table);
-    result.partitions = std::move(doc->partitions);
-    result.catalog = std::move(catalog).value();
-    batch.documents.emplace_back(std::move(result));
-  }
-  return batch;
-}
-
-Result<BatchResult> ExtractionContext::ExtractCorpus(
-    const std::vector<std::string>& corpus, const BatchRunOptions& run) const {
-  std::vector<std::string_view> views;
-  views.reserve(corpus.size());
-  for (const std::string& document : corpus) views.emplace_back(document);
-  return ExtractCorpus(views, run);
 }
 
 }  // namespace webrbd

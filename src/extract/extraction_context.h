@@ -16,13 +16,9 @@
 // catalog, a persistent page store (store/record_store.h), a test
 // buffer — and returns per-document diagnostics (ExtractionOutcome).
 // Corpus delivery is deterministic: records reach the sink grouped by
-// document in input order regardless of worker-thread count.
-//
-// Two generations of deprecated shims remain, lint-enforced
-// (deprecated-pipeline-entry): RunIntegratedPipeline/RunBatchPipeline
-// (pre-PR-5, per-call ontology) and the Catalog-returning
-// ExtractDocument/ExtractCorpus (pre-store, output welded to db::Catalog),
-// which now wrap the sink API over a CatalogSink.
+// document in input order regardless of worker-thread count. A caller
+// that wants the populated database per document uses a CatalogSink and
+// takes each document's catalog with TakeCatalog(document_index).
 //
 // The context also owns the estimator wiring that used to be a trap:
 // DiscoveryOptions carries no record-count estimator (see
@@ -32,11 +28,11 @@
 // overwritten — it is unrepresentable here.
 //
 // Memory: every per-document tag tree is bump-allocated from a
-// DocumentArena (html/arena.h). ExtractDocument uses a private arena by
-// default; the arena-taking overload and ExtractCorpus reuse ONE arena per
-// worker across a whole chunk of documents (Reset() between documents
-// retains the blocks and the tag-name intern table), which is where the
-// batch engine's warm-allocator throughput comes from.
+// DocumentArena (html/arena.h). ExtractDocumentInto uses a private arena
+// by default; the arena-taking overload and ExtractCorpusInto reuse ONE
+// arena per worker across a whole chunk of documents (Reset() between
+// documents retains the blocks and the tag-name intern table), which is
+// where the batch engine's warm-allocator throughput comes from.
 
 #ifndef WEBRBD_EXTRACT_EXTRACTION_CONTEXT_H_
 #define WEBRBD_EXTRACT_EXTRACTION_CONTEXT_H_
@@ -50,7 +46,6 @@
 #include <vector>
 
 #include "core/discovery.h"
-#include "db/catalog.h"
 #include "extract/data_record_table.h"
 #include "extract/recognizer.h"
 #include "extract/recognizer_cache.h"
@@ -67,9 +62,10 @@ class RecordSink;
 /// When extractions through a context may serve record boundaries from a
 /// TemplateCache (extract/template_cache.h).
 enum class TemplateMemoization {
-  /// Batch runs (ExtractCorpus) use the cache; standalone ExtractDocument
-  /// calls do not. Batch is where templates repeat and the cache pays;
-  /// a lone document gets the full five-heuristic treatment.
+  /// Batch runs (ExtractCorpusInto) use the cache; standalone
+  /// ExtractDocumentInto calls do not. Batch is where templates repeat and
+  /// the cache pays; a lone document gets the full five-heuristic
+  /// treatment.
   kAuto,
   /// Every extraction consults the cache, including single documents.
   kAlways,
@@ -97,28 +93,6 @@ struct ExtractionOutcome {
 
   /// Records delivered to the sink for this document (one per partition).
   size_t records_written = 0;
-};
-
-/// Everything the integrated pipeline produces for one document.
-/// DEPRECATED shape: returned only by the Catalog-returning shims; new
-/// code uses ExtractionOutcome plus a RecordSink.
-struct IntegratedResult {
-  /// The consensus separator.
-  std::string separator;
-
-  /// Full discovery diagnostics (rankings, certainties).
-  DiscoveryResult discovery;
-
-  /// The Data-Record Table over the record region, positioned in DOCUMENT
-  /// byte offsets (the paper's Descriptor/String/Position).
-  DataRecordTable table;
-
-  /// The table partitioned at the separator's document positions; entry i
-  /// corresponds to record i (the preamble partition is already dropped).
-  std::vector<DataRecordTable> partitions;
-
-  /// One entity row per partition (plus aux-table rows).
-  db::Catalog catalog;
 };
 
 /// Per-context configuration, fixed at Create() time and shared by every
@@ -153,7 +127,7 @@ struct ContextOptions {
   uint64_t reload_generation = 0;
 };
 
-/// Per-run knobs of ExtractCorpus (the context itself carries everything
+/// Per-run knobs of ExtractCorpusInto (the context itself carries everything
 /// per-document).
 struct BatchRunOptions {
   /// Worker threads. 0 means one per hardware thread; 1 runs inline on the
@@ -233,15 +207,6 @@ struct BatchOutcome {
   CorpusStats stats;
 };
 
-/// Everything a batch run produces. DEPRECATED shape: returned only by
-/// the Catalog-returning ExtractCorpus shim; new code uses BatchOutcome.
-struct BatchResult {
-  /// documents[i] is the per-document outcome for corpus[i], input order.
-  std::vector<Result<IntegratedResult>> documents;
-
-  CorpusStats stats;
-};
-
 /// An immutable, thread-safe extraction engine for one ontology.
 ///
 /// Lifetime: the context borrows `ontology` (and, via
@@ -302,28 +267,6 @@ class ExtractionContext {
       const std::vector<std::string>& corpus, RecordSink& sink,
       const BatchRunOptions& run = {}) const;
 
-  /// DEPRECATED: use ExtractDocumentInto with a CatalogSink. Thin shim
-  /// kept for the transition; the deprecated-pipeline-entry lint rule
-  /// flags new uses in src/ and tools/.
-  [[nodiscard]] Result<IntegratedResult> ExtractDocument(
-      std::string_view html) const;
-
-  /// DEPRECATED: arena-reusing variant of the ExtractDocument shim.
-  [[nodiscard]] Result<IntegratedResult> ExtractDocument(
-      std::string_view html, DocumentArena& arena) const;
-
-  /// DEPRECATED: use ExtractCorpusInto with a CatalogSink. Thin shim:
-  /// runs the sink-based engine into per-document catalogs and repackages
-  /// them as IntegratedResults.
-  [[nodiscard]] Result<BatchResult> ExtractCorpus(
-      const std::vector<std::string_view>& corpus,
-      const BatchRunOptions& run = {}) const;
-
-  /// DEPRECATED: owned-string overload of the ExtractCorpus shim.
-  [[nodiscard]] Result<BatchResult> ExtractCorpus(
-      const std::vector<std::string>& corpus,
-      const BatchRunOptions& run = {}) const;
-
   const Ontology& ontology() const { return *ontology_; }
   const Recognizer& recognizer() const { return *recognizer_; }
   const ContextOptions& options() const { return options_; }
@@ -353,11 +296,6 @@ class ExtractionContext {
   [[nodiscard]] Result<ExtractionOutcome> ExtractDocumentImpl(
       std::string_view html, DocumentArena& arena, bool use_cache,
       RecordSink& sink, uint32_t document_index) const;
-
-  /// Shared body of the deprecated ExtractDocument shims: sink-based
-  /// extraction into a CatalogSink, repackaged as an IntegratedResult.
-  [[nodiscard]] Result<IntegratedResult> ExtractDocumentShim(
-      std::string_view html, DocumentArena& arena) const;
 
   const Ontology* ontology_;
   std::shared_ptr<const Recognizer> recognizer_;

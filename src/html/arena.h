@@ -11,7 +11,7 @@
 // Reset() retains the allocated blocks AND the intern table, so a batch
 // worker that processes a chunk of documents through one arena reuses
 // warm memory and warm symbols across the whole chunk (the allocator
-// reuse BatchOptions::chunk_size promises).
+// reuse BatchRunOptions::chunk_size promises).
 //
 // Thread-compatibility: an arena is single-threaded state. Each batch
 // worker owns its own; nothing here is synchronized.

@@ -30,10 +30,6 @@
 //   tagnode-recursion   a function taking a TagNode must not call itself:
 //                       adversarial nesting depth overflows the call stack;
 //                       iterate with an explicit stack (see PreOrderVisit)
-//   deprecated-pipeline-entry
-//                       library and tool code (src/, tools/) must not call
-//                       the deprecated RunIntegratedPipeline/RunBatchPipeline
-//                       shims — construct an ExtractionContext instead
 //   arena-escape        a TagNode*/string_view borrowed from an arena-backed
 //                       tag tree must not be stored into a member, global,
 //                       or container that outlives the extraction call

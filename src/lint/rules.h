@@ -109,8 +109,8 @@ class Rule {
                      Reporter* reporter) const = 0;
 };
 
-/// The nine foundational rules (license-header ... deprecated-pipeline-
-/// entry), in catalog order.
+/// The eight foundational rules (license-header ... tagnode-recursion), in
+/// catalog order.
 std::vector<std::unique_ptr<Rule>> MakeCoreRules();
 
 /// The deep structural rules, in catalog order.

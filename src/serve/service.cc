@@ -119,19 +119,13 @@ class AdmissionSlot {
 
 }  // namespace
 
-namespace {
-
-/// Shared rendering core so the deprecated-shape and sink-era overloads
-/// produce byte-identical responses.
-std::string RenderExtractionJsonParts(const std::string& separator,
-                                      const DiscoveryResult& discovery,
-                                      size_t record_count,
-                                      const db::Catalog& catalog) {
-  std::string out = "{\"separator\":" + JsonString(separator);
-  out += ",\"records\":" + std::to_string(record_count);
+std::string RenderExtractionJson(const ExtractionOutcome& result,
+                                 const db::Catalog& catalog) {
+  std::string out = "{\"separator\":" + JsonString(result.separator);
+  out += ",\"records\":" + std::to_string(result.partitions.size());
   double certainty = 0.0;
-  for (const CompoundRankedTag& ranked : discovery.compound_ranking) {
-    if (ranked.tag == separator) {
+  for (const CompoundRankedTag& ranked : result.discovery.compound_ranking) {
+    if (ranked.tag == result.separator) {
       certainty = ranked.certainty;
       break;
     }
@@ -148,19 +142,6 @@ std::string RenderExtractionJsonParts(const std::string& separator,
   }
   out += "}}";
   return out;
-}
-
-}  // namespace
-
-std::string RenderExtractionJson(const IntegratedResult& result) {
-  return RenderExtractionJsonParts(result.separator, result.discovery,
-                                   result.partitions.size(), result.catalog);
-}
-
-std::string RenderExtractionJson(const ExtractionOutcome& result,
-                                 const db::Catalog& catalog) {
-  return RenderExtractionJsonParts(result.separator, result.discovery,
-                                   result.partitions.size(), catalog);
 }
 
 Result<std::unique_ptr<ExtractionService>> ExtractionService::Create(

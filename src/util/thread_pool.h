@@ -2,8 +2,9 @@
 //
 // A fixed-size worker pool with a bounded task queue. This is the
 // concurrency substrate of the batch-extraction engine (see
-// extract/batch_pipeline.h): corpus-scale extraction fans documents out
-// across the pool while compiled recognizers are shared read-only.
+// ExtractionContext::ExtractCorpusInto in extract/extraction_context.h):
+// corpus-scale extraction fans documents out across the pool while
+// compiled recognizers are shared read-only.
 //
 // Design notes:
 //  - Submit() returns a std::future; an exception escaping the task is

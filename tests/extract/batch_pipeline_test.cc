@@ -1,14 +1,15 @@
 // Copyright (c) the webrbd authors. Licensed under the Apache License 2.0.
 
-#include "extract/batch_pipeline.h"
+#include "extract/extraction_context.h"
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "extract/integrated_pipeline.h"
+#include "extract/record_sink.h"
 #include "gen/sites.h"
 #include "obs/metrics.h"
 #include "obs/stages.h"
@@ -30,37 +31,59 @@ std::vector<std::string> SmallCorpus(Domain domain, int documents) {
   return corpus;
 }
 
+// Runs `corpus` through a fresh context over `ontology` into a BufferSink.
+Result<BatchOutcome> RunBatch(const std::vector<std::string>& corpus,
+                              const Ontology& ontology,
+                              const BatchRunOptions& run = {},
+                              ContextOptions options = {}) {
+  auto context = ExtractionContext::Create(ontology, std::move(options));
+  if (!context.ok()) return context.status();
+  BufferSink sink;
+  return context->ExtractCorpusInto(corpus, sink, run);
+}
+
 TEST(BatchPipelineTest, MatchesSingleDocumentPipeline) {
   Ontology ontology = BundledOntology(Domain::kObituaries).value();
   std::vector<std::string> corpus = SmallCorpus(Domain::kObituaries, 4);
-  auto batch = RunBatchPipeline(corpus, ontology);
+  auto context = ExtractionContext::Create(ontology);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  CatalogSink batch_sink(context->instance_generator());
+  auto batch = context->ExtractCorpusInto(corpus, batch_sink);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   ASSERT_EQ(batch->documents.size(), corpus.size());
   for (size_t i = 0; i < corpus.size(); ++i) {
-    auto single = RunIntegratedPipeline(corpus[i], ontology);
+    CatalogSink single_sink(context->instance_generator());
+    auto single = context->ExtractDocumentInto(corpus[i], single_sink);
     ASSERT_TRUE(single.ok());
     ASSERT_TRUE(batch->documents[i].ok());
     EXPECT_EQ(batch->documents[i]->separator, single->separator);
     EXPECT_EQ(batch->documents[i]->partitions.size(),
               single->partitions.size());
-    EXPECT_EQ(batch->documents[i]->catalog.ToString(),
-              single->catalog.ToString());
+    auto batch_catalog = batch_sink.TakeCatalog(static_cast<uint32_t>(i));
+    auto single_catalog = single_sink.TakeCatalog();
+    ASSERT_TRUE(batch_catalog.ok());
+    ASSERT_TRUE(single_catalog.ok());
+    EXPECT_EQ(batch_catalog->ToString(), single_catalog->ToString());
   }
 }
 
 TEST(BatchPipelineTest, DeterministicAcrossThreadCounts) {
   Ontology ontology = BundledOntology(Domain::kCarAds).value();
   std::vector<std::string> corpus = SmallCorpus(Domain::kCarAds, 20);
+  auto context = ExtractionContext::Create(ontology);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
 
-  BatchOptions serial;
+  BatchRunOptions serial;
   serial.num_threads = 1;
-  auto one = RunBatchPipeline(corpus, ontology, serial);
+  CatalogSink one_sink(context->instance_generator());
+  auto one = context->ExtractCorpusInto(corpus, one_sink, serial);
   ASSERT_TRUE(one.ok()) << one.status().ToString();
 
-  BatchOptions parallel;
+  BatchRunOptions parallel;
   parallel.num_threads = 8;
   parallel.chunk_size = 1;  // maximize interleaving
-  auto eight = RunBatchPipeline(corpus, ontology, parallel);
+  CatalogSink eight_sink(context->instance_generator());
+  auto eight = context->ExtractCorpusInto(corpus, eight_sink, parallel);
   ASSERT_TRUE(eight.ok()) << eight.status().ToString();
 
   EXPECT_EQ(one->stats.threads_used, 1);
@@ -71,8 +94,11 @@ TEST(BatchPipelineTest, DeterministicAcrossThreadCounts) {
     if (!one->documents[i].ok()) continue;
     EXPECT_EQ(one->documents[i]->separator, eight->documents[i]->separator);
     EXPECT_EQ(one->documents[i]->table.size(), eight->documents[i]->table.size());
-    EXPECT_EQ(one->documents[i]->catalog.ToString(),
-              eight->documents[i]->catalog.ToString());
+    auto one_catalog = one_sink.TakeCatalog(static_cast<uint32_t>(i));
+    auto eight_catalog = eight_sink.TakeCatalog(static_cast<uint32_t>(i));
+    ASSERT_TRUE(one_catalog.ok());
+    ASSERT_TRUE(eight_catalog.ok());
+    EXPECT_EQ(one_catalog->ToString(), eight_catalog->ToString());
   }
   EXPECT_EQ(one->stats.succeeded, eight->stats.succeeded);
   EXPECT_EQ(one->stats.failed, eight->stats.failed);
@@ -84,9 +110,9 @@ TEST(BatchPipelineTest, PerDocumentErrorsAreAggregatedNotDropped) {
   std::vector<std::string> corpus = SmallCorpus(Domain::kObituaries, 3);
   corpus.insert(corpus.begin() + 1, "no markup at all");  // doomed document
 
-  BatchOptions options;
-  options.num_threads = 4;
-  auto batch = RunBatchPipeline(corpus, ontology, options);
+  BatchRunOptions run;
+  run.num_threads = 4;
+  auto batch = RunBatch(corpus, ontology, run);
   ASSERT_TRUE(batch.ok());
   ASSERT_EQ(batch->documents.size(), 4u);
   EXPECT_TRUE(batch->documents[0].ok());
@@ -106,7 +132,7 @@ TEST(BatchPipelineTest, PerDocumentErrorsAreAggregatedNotDropped) {
 
 TEST(BatchPipelineTest, EmptyCorpus) {
   Ontology ontology = BundledOntology(Domain::kCourses).value();
-  auto batch = RunBatchPipeline(std::vector<std::string>{}, ontology);
+  auto batch = RunBatch({}, ontology);
   ASSERT_TRUE(batch.ok());
   EXPECT_TRUE(batch->documents.empty());
   EXPECT_EQ(batch->stats.documents, 0u);
@@ -119,16 +145,16 @@ TEST(BatchPipelineTest, BadOntologyFailsTheWholeBatch) {
   broken.frame.value_patterns = {"(a"};
   Ontology ontology("broken", "Entity", {broken});
   std::vector<std::string> corpus = SmallCorpus(Domain::kObituaries, 2);
-  auto batch = RunBatchPipeline(corpus, ontology);
+  auto batch = RunBatch(corpus, ontology);
   EXPECT_FALSE(batch.ok());
 }
 
 TEST(BatchPipelineTest, ReportsThroughputStats) {
   Ontology ontology = BundledOntology(Domain::kJobAds).value();
   std::vector<std::string> corpus = SmallCorpus(Domain::kJobAds, 6);
-  BatchOptions options;
-  options.num_threads = 2;
-  auto batch = RunBatchPipeline(corpus, ontology, options);
+  BatchRunOptions run;
+  run.num_threads = 2;
+  auto batch = RunBatch(corpus, ontology, run);
   ASSERT_TRUE(batch.ok());
   EXPECT_EQ(batch->stats.documents, 6u);
   size_t bytes = 0;
@@ -143,13 +169,13 @@ TEST(BatchPipelineTest, UsesTheProvidedCache) {
   RecognizerCache cache;
   Ontology ontology = BundledOntology(Domain::kObituaries).value();
   std::vector<std::string> corpus = SmallCorpus(Domain::kObituaries, 3);
-  BatchOptions options;
+  ContextOptions options;
   options.cache = &cache;
-  ASSERT_TRUE(RunBatchPipeline(corpus, ontology, options).ok());
+  ASSERT_TRUE(RunBatch(corpus, ontology, {}, options).ok());
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
   // A second batch over the same ontology recompiles nothing.
-  ASSERT_TRUE(RunBatchPipeline(corpus, ontology, options).ok());
+  ASSERT_TRUE(RunBatch(corpus, ontology, {}, options).ok());
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_GE(cache.hits(), 1u);
 }
@@ -162,13 +188,13 @@ TEST(BatchPipelineTest, ThrowingTaskBecomesPerDocumentInternalErrors) {
   // Status::Internal.
   Ontology ontology = BundledOntology(Domain::kObituaries).value();
   std::vector<std::string> corpus = SmallCorpus(Domain::kObituaries, 12);
-  BatchOptions options;
-  options.num_threads = 4;
-  options.chunk_size = 3;
-  options.document_hook = [](size_t index) {
+  BatchRunOptions run;
+  run.num_threads = 4;
+  run.chunk_size = 3;
+  run.document_hook = [](size_t index) {
     if (index == 4) throw std::runtime_error("injected fault");
   };
-  auto batch = RunBatchPipeline(corpus, ontology, options);
+  auto batch = RunBatch(corpus, ontology, run);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   ASSERT_EQ(batch->documents.size(), corpus.size());
   size_t internal = 0;
@@ -182,7 +208,7 @@ TEST(BatchPipelineTest, ThrowingTaskBecomesPerDocumentInternalErrors) {
   // The throw hits document 4; its chunk's not-yet-processed documents
   // (4 and 5 of chunk [3,6)) fail, everything else completes.
   EXPECT_GE(internal, 1u);
-  EXPECT_LE(internal, options.chunk_size);
+  EXPECT_LE(internal, run.chunk_size);
   EXPECT_EQ(batch->stats.failed, internal);
   EXPECT_EQ(batch->stats.succeeded, corpus.size() - internal);
   EXPECT_EQ(batch->stats.failures_by_code.at("Internal"), internal);
@@ -191,12 +217,12 @@ TEST(BatchPipelineTest, ThrowingTaskBecomesPerDocumentInternalErrors) {
 TEST(BatchPipelineTest, ThrowingHookOnInlinePathIsAlsoContained) {
   Ontology ontology = BundledOntology(Domain::kObituaries).value();
   std::vector<std::string> corpus = SmallCorpus(Domain::kObituaries, 3);
-  BatchOptions options;
-  options.num_threads = 1;  // inline path, no pool
-  options.document_hook = [](size_t index) {
+  BatchRunOptions run;
+  run.num_threads = 1;  // inline path, no pool
+  run.document_hook = [](size_t index) {
     if (index == 1) throw std::runtime_error("inline fault");
   };
-  auto batch = RunBatchPipeline(corpus, ontology, options);
+  auto batch = RunBatch(corpus, ontology, run);
   ASSERT_TRUE(batch.ok());
   ASSERT_EQ(batch->documents.size(), 3u);
   EXPECT_TRUE(batch->documents[0].ok());
@@ -209,9 +235,9 @@ TEST(BatchPipelineTest, StageLatenciesFilledWhenMetricsEnabled) {
   obs::SetMetricsEnabled(true);
   Ontology ontology = BundledOntology(Domain::kCarAds).value();
   std::vector<std::string> corpus = SmallCorpus(Domain::kCarAds, 6);
-  BatchOptions options;
-  options.num_threads = 2;
-  auto batch = RunBatchPipeline(corpus, ontology, options);
+  BatchRunOptions run;
+  run.num_threads = 2;
+  auto batch = RunBatch(corpus, ontology, run);
   obs::SetMetricsEnabled(false);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
 
@@ -249,7 +275,7 @@ TEST(BatchPipelineTest, StageLatenciesEmptyWhenMetricsDisabled) {
   ASSERT_FALSE(obs::MetricsEnabled());
   Ontology ontology = BundledOntology(Domain::kJobAds).value();
   std::vector<std::string> corpus = SmallCorpus(Domain::kJobAds, 2);
-  auto batch = RunBatchPipeline(corpus, ontology);
+  auto batch = RunBatch(corpus, ontology);
   ASSERT_TRUE(batch.ok());
   EXPECT_TRUE(batch->stats.stage_latencies.empty());
   EXPECT_EQ(batch->stats.pool_utilization, 0.0);

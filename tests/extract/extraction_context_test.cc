@@ -1,11 +1,10 @@
 // Copyright (c) the webrbd authors. Licensed under the Apache License 2.0.
 //
-// Golden equivalence suite for the ExtractionContext API redesign: the
-// deprecated RunIntegratedPipeline/RunBatchPipeline shims, the context
-// paths (with and without a reused arena), and the batch engine at 1 and 8
-// threads must all produce byte-identical IntegratedResults — same
-// separator, same partitions, same catalog dump — on the generator
-// corpora. This is the contract that lets callers migrate mechanically.
+// Golden equivalence suite for the ExtractionContext API: the
+// single-document path (with a private arena and with a reused caller
+// arena) and the batch engine at 1 and 8 threads must all produce
+// byte-identical outcomes — same separator, same partitions, same catalog
+// dump through a CatalogSink — on the generator corpora.
 
 #include "extract/extraction_context.h"
 
@@ -16,8 +15,7 @@
 #include <vector>
 
 #include "db/export.h"
-#include "extract/batch_pipeline.h"
-#include "extract/integrated_pipeline.h"
+#include "extract/record_sink.h"
 #include "gen/sites.h"
 #include "ontology/bundled.h"
 
@@ -37,21 +35,33 @@ std::vector<std::string> SmallCorpus(Domain domain, int documents) {
   return corpus;
 }
 
-// The byte-comparable projection of an IntegratedResult: separator,
-// partition boundaries/sizes, and the full SQL dump of the catalog.
-std::string Golden(const IntegratedResult& result) {
+// The byte-comparable projection of one document's extraction: separator,
+// partition boundaries/sizes, and the full SQL dump of its catalog.
+std::string Golden(const ExtractionOutcome& result,
+                   const db::Catalog& catalog) {
   std::string out = "separator=" + result.separator + "\n";
   out += "table_entries=" + std::to_string(result.table.size()) + "\n";
   for (const DataRecordTable& partition : result.partitions) {
     out += "partition=" + std::to_string(partition.size()) + "\n";
   }
-  out += db::ToSqlDump(result.catalog);
+  out += db::ToSqlDump(catalog);
   return out;
+}
+
+// Extracts `html` into a fresh CatalogSink and projects the result.
+Result<std::string> ExtractGolden(const ExtractionContext& context,
+                                  const std::string& html) {
+  CatalogSink sink(context.instance_generator());
+  auto outcome = context.ExtractDocumentInto(html, sink);
+  if (!outcome.ok()) return outcome.status();
+  auto catalog = sink.TakeCatalog();
+  if (!catalog.ok()) return catalog.status();
+  return Golden(*outcome, *catalog);
 }
 
 class ExtractionContextGoldenTest : public ::testing::TestWithParam<Domain> {};
 
-TEST_P(ExtractionContextGoldenTest, ShimAndContextPathsAreByteIdentical) {
+TEST_P(ExtractionContextGoldenTest, CallerArenaMatchesPrivateArena) {
   const Ontology ontology = BundledOntology(GetParam()).value();
   const std::vector<std::string> corpus = SmallCorpus(GetParam(), 6);
 
@@ -60,26 +70,17 @@ TEST_P(ExtractionContextGoldenTest, ShimAndContextPathsAreByteIdentical) {
 
   DocumentArena arena;
   for (const std::string& html : corpus) {
-    auto via_context = context->ExtractDocument(html);
-    ASSERT_TRUE(via_context.ok()) << via_context.status().ToString();
-    const std::string golden = Golden(*via_context);
+    auto golden = ExtractGolden(*context, html);
+    ASSERT_TRUE(golden.ok()) << golden.status().ToString();
 
     // Arena-reuse path: same bytes out of a warm arena.
     arena.Reset();
-    auto via_arena = context->ExtractDocument(html, arena);
-    ASSERT_TRUE(via_arena.ok());
-    EXPECT_EQ(Golden(*via_arena), golden);
-
-    // Deprecated single-document shim (global recognizer cache).
-    auto via_shim = RunIntegratedPipeline(html, ontology);
-    ASSERT_TRUE(via_shim.ok());
-    EXPECT_EQ(Golden(*via_shim), golden);
-
-    // Deprecated recognizer-passing shim.
-    auto via_recognizer_shim =
-        RunIntegratedPipeline(html, ontology, context->recognizer());
-    ASSERT_TRUE(via_recognizer_shim.ok());
-    EXPECT_EQ(Golden(*via_recognizer_shim), golden);
+    CatalogSink sink(context->instance_generator());
+    auto via_arena = context->ExtractDocumentInto(html, arena, sink);
+    ASSERT_TRUE(via_arena.ok()) << via_arena.status().ToString();
+    auto catalog = sink.TakeCatalog();
+    ASSERT_TRUE(catalog.ok());
+    EXPECT_EQ(Golden(*via_arena, *catalog), *golden);
   }
 }
 
@@ -93,35 +94,26 @@ TEST_P(ExtractionContextGoldenTest, BatchMatchesSingleAcrossThreadCounts) {
   std::vector<std::string> singles;
   singles.reserve(corpus.size());
   for (const std::string& html : corpus) {
-    auto single = context->ExtractDocument(html);
+    auto single = ExtractGolden(*context, html);
     ASSERT_TRUE(single.ok()) << single.status().ToString();
-    singles.push_back(Golden(*single));
+    singles.push_back(*single);
   }
 
   for (int threads : {1, 8}) {
     BatchRunOptions run;
     run.num_threads = threads;
     run.chunk_size = 2;  // several chunks, arena reused within each
-    auto batch = context->ExtractCorpus(corpus, run);
+    CatalogSink sink(context->instance_generator());
+    auto batch = context->ExtractCorpusInto(corpus, sink, run);
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();
     ASSERT_EQ(batch->documents.size(), corpus.size());
     EXPECT_EQ(batch->stats.succeeded, corpus.size());
     for (size_t i = 0; i < corpus.size(); ++i) {
       ASSERT_TRUE(batch->documents[i].ok());
-      EXPECT_EQ(Golden(*batch->documents[i]), singles[i])
+      auto catalog = sink.TakeCatalog(static_cast<uint32_t>(i));
+      ASSERT_TRUE(catalog.ok());
+      EXPECT_EQ(Golden(*batch->documents[i], *catalog), singles[i])
           << "threads=" << threads << " doc=" << i;
-    }
-
-    // The deprecated batch shim rides the same engine.
-    BatchOptions legacy;
-    legacy.num_threads = threads;
-    legacy.chunk_size = 2;
-    auto shim_batch = RunBatchPipeline(corpus, ontology, legacy);
-    ASSERT_TRUE(shim_batch.ok());
-    for (size_t i = 0; i < corpus.size(); ++i) {
-      ASSERT_TRUE(shim_batch->documents[i].ok());
-      EXPECT_EQ(Golden(*shim_batch->documents[i]), singles[i])
-          << "shim threads=" << threads << " doc=" << i;
     }
   }
 }
@@ -167,7 +159,8 @@ TEST(ExtractionContextTest, ExtractDocumentFailsOnTaglessInput) {
   const Ontology ontology = BundledOntology(Domain::kObituaries).value();
   auto context = ExtractionContext::Create(ontology);
   ASSERT_TRUE(context.ok());
-  auto result = context->ExtractDocument("no markup at all");
+  BufferSink sink;
+  auto result = context->ExtractDocumentInto("no markup at all", sink);
   EXPECT_FALSE(result.ok());
 }
 

@@ -1,6 +1,6 @@
 // Copyright (c) the webrbd authors. Licensed under the Apache License 2.0.
 
-#include "extract/integrated_pipeline.h"
+#include "extract/extraction_context.h"
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include "core/record_extractor.h"
 #include "eval/figure2.h"
 #include "extract/db_instance_generator.h"
+#include "extract/record_sink.h"
 #include "gen/sites.h"
 #include "html/text_index.h"
 #include "html/tree_builder.h"
@@ -75,7 +76,10 @@ TEST(TextIndexTest, CursorMatchesToDocumentOffset) {
 
 TEST(IntegratedPipelineTest, Figure2EndToEnd) {
   auto ontology = BundledOntology(Domain::kObituaries).value();
-  auto result = RunIntegratedPipeline(Figure2Document(), ontology);
+  auto context = ExtractionContext::Create(ontology);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  CatalogSink sink(context->instance_generator());
+  auto result = context->ExtractDocumentInto(Figure2Document(), sink);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   EXPECT_EQ(result->separator, "hr");
@@ -94,7 +98,9 @@ TEST(IntegratedPipelineTest, Figure2EndToEnd) {
         << entry.descriptor << " @" << entry.begin << " = " << entry.value;
   }
 
-  const db::Table* deceased = result->catalog.GetTable("Deceased");
+  auto catalog = sink.TakeCatalog();
+  ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+  const db::Table* deceased = catalog->GetTable("Deceased");
   ASSERT_NE(deceased, nullptr);
   ASSERT_EQ(deceased->row_count(), 3u);
   const db::Schema& schema = deceased->schema();
@@ -109,12 +115,17 @@ TEST(IntegratedPipelineTest, AgreesWithPerRecordPipeline) {
   // The integrated flow (recognize once, partition) and the naive flow
   // (re-recognize per record) must populate equivalent entity tables.
   auto ontology = BundledOntology(Domain::kCarAds).value();
+  auto context = ExtractionContext::Create(ontology);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
   for (int doc_index : {0, 1}) {
     gen::GeneratedDocument doc = gen::RenderDocument(
         gen::CalibrationSites()[0], Domain::kCarAds, doc_index);
 
-    auto integrated = RunIntegratedPipeline(doc.html, ontology);
+    CatalogSink sink(context->instance_generator());
+    auto integrated = context->ExtractDocumentInto(doc.html, sink);
     ASSERT_TRUE(integrated.ok()) << integrated.status().ToString();
+    auto catalog = sink.TakeCatalog();
+    ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
 
     StandaloneDiscoveryOptions options;
     options.estimator = MakeEstimatorForOntology(ontology).value();
@@ -124,7 +135,7 @@ TEST(IntegratedPipelineTest, AgreesWithPerRecordPipeline) {
     auto naive = generator.Populate(*records);
     ASSERT_TRUE(naive.ok());
 
-    const db::Table* a = integrated->catalog.GetTable("Car");
+    const db::Table* a = catalog->GetTable("Car");
     const db::Table* b = naive->GetTable("Car");
     ASSERT_NE(a, nullptr);
     ASSERT_NE(b, nullptr);
@@ -154,7 +165,10 @@ TEST(IntegratedPipelineTest, OmEstimateMatchesTextEstimator) {
   gen::GeneratedDocument doc = gen::RenderDocument(
       gen::CalibrationSites()[0], Domain::kObituaries, 0);
 
-  auto integrated = RunIntegratedPipeline(doc.html, ontology);
+  auto context = ExtractionContext::Create(ontology);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  BufferSink sink;
+  auto integrated = context->ExtractDocumentInto(doc.html, sink);
   ASSERT_TRUE(integrated.ok());
   // Reconstruct what the text-based estimator sees.
   auto tree = BuildTagTree(doc.html).value();
@@ -182,8 +196,10 @@ TEST(IntegratedPipelineTest, OmEstimateMatchesTextEstimator) {
 
 TEST(IntegratedPipelineTest, FailsOnTaglessInput) {
   auto ontology = BundledOntology(Domain::kCarAds).value();
-  auto result = RunIntegratedPipeline("no markup at all", ontology);
-  EXPECT_FALSE(result.ok());
+  auto context = ExtractionContext::Create(ontology);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  BufferSink sink;
+  EXPECT_FALSE(context->ExtractDocumentInto("no markup at all", sink).ok());
 }
 
 }  // namespace

@@ -2,10 +2,9 @@
 //
 // The RecordSink output abstraction: sink semantics (buffering, catalog
 // materialization with per-document error isolation, teeing, store
-// appends), golden equivalence between the sink-based entry points and
-// the deprecated Catalog-returning shims, and the corpus delivery
-// contract — deterministic, thread-count-independent record order, down
-// to byte-identical store files at 1 and 8 worker threads.
+// appends) and the corpus delivery contract — deterministic,
+// thread-count-independent record order, down to byte-identical store
+// files at 1 and 8 worker threads.
 
 #include "extract/record_sink.h"
 
@@ -15,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "db/export.h"
 #include "extract/extraction_context.h"
 #include "gen/sites.h"
 #include "ontology/bundled.h"
@@ -155,28 +153,6 @@ TEST(StoreSinkTest, CountsAndPropagatesBackendErrors) {
   EXPECT_TRUE(sink.Flush().ok());
 }
 
-TEST(RecordSinkGoldenTest, SinkPathMatchesDeprecatedShim) {
-  const Ontology ontology = BundledOntology(Domain::kObituaries).value();
-  const std::vector<std::string> corpus = SmallCorpus(Domain::kObituaries, 4);
-  auto context = ExtractionContext::Create(ontology);
-  ASSERT_TRUE(context.ok());
-
-  for (const std::string& html : corpus) {
-    CatalogSink sink(context->instance_generator());
-    auto outcome = context->ExtractDocumentInto(html, sink);
-    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-    auto catalog = sink.TakeCatalog();
-    ASSERT_TRUE(catalog.ok());
-
-    auto legacy = context->ExtractDocument(html);
-    ASSERT_TRUE(legacy.ok());
-    EXPECT_EQ(outcome->separator, legacy->separator);
-    EXPECT_EQ(outcome->partitions.size(), legacy->partitions.size());
-    EXPECT_EQ(outcome->records_written, legacy->partitions.size());
-    EXPECT_EQ(db::ToSqlDump(*catalog), db::ToSqlDump(legacy->catalog));
-  }
-}
-
 TEST(CorpusDeliveryTest, RecordOrderIsGroupedAndThreadCountIndependent) {
   const Ontology ontology = BundledOntology(Domain::kCarAds).value();
   const std::vector<std::string> corpus = SmallCorpus(Domain::kCarAds, 8);
@@ -285,31 +261,6 @@ TEST(CorpusDeliveryTest, SinkWriteFailureFailsTheBatch) {
   FlakySink sink(/*fail_at=*/3);
   auto batch = context->ExtractCorpusInto(corpus, sink, {});
   EXPECT_FALSE(batch.ok());  // the sink's backend is gone: whole call fails
-}
-
-TEST(CorpusDeliveryTest, DeprecatedCorpusShimMatchesSinkEngine) {
-  const Ontology ontology = BundledOntology(Domain::kCarAds).value();
-  const std::vector<std::string> corpus = SmallCorpus(Domain::kCarAds, 4);
-  auto context = ExtractionContext::Create(ontology);
-  ASSERT_TRUE(context.ok());
-
-  CatalogSink sink(context->instance_generator());
-  auto outcome = context->ExtractCorpusInto(corpus, sink, {});
-  ASSERT_TRUE(outcome.ok());
-
-  auto legacy = context->ExtractCorpus(corpus, {});
-  ASSERT_TRUE(legacy.ok());
-  ASSERT_EQ(legacy->documents.size(), corpus.size());
-  for (size_t i = 0; i < corpus.size(); ++i) {
-    ASSERT_TRUE(outcome->documents[i].ok());
-    ASSERT_TRUE(legacy->documents[i].ok());
-    auto catalog = sink.TakeCatalog(static_cast<uint32_t>(i));
-    ASSERT_TRUE(catalog.ok());
-    EXPECT_EQ(db::ToSqlDump(*catalog),
-              db::ToSqlDump(legacy->documents[i]->catalog));
-    EXPECT_EQ(outcome->documents[i]->separator,
-              legacy->documents[i]->separator);
-  }
 }
 
 }  // namespace

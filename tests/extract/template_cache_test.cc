@@ -18,6 +18,7 @@
 #include "core/boundary_artifact.h"
 #include "db/export.h"
 #include "extract/extraction_context.h"
+#include "extract/record_sink.h"
 #include "gen/template_skew.h"
 #include "html/text_index.h"
 #include "html/tree_builder.h"
@@ -173,14 +174,26 @@ TEST(TemplateCacheTest, EvictsLeastRecentlyUsedUnderCapacity) {
 // ---------------------------------------------------------------------------
 // Determinism: cache on vs off, 1 thread vs 8 — byte-identical output.
 
-std::string Golden(const IntegratedResult& result) {
+std::string Golden(const ExtractionOutcome& result,
+                   const db::Catalog& catalog) {
   std::string out = "separator=" + result.separator + "\n";
   out += "table_entries=" + std::to_string(result.table.size()) + "\n";
   for (const DataRecordTable& partition : result.partitions) {
     out += "partition=" + std::to_string(partition.size()) + "\n";
   }
-  out += db::ToSqlDump(result.catalog);
+  out += db::ToSqlDump(catalog);
   return out;
+}
+
+// Extracts `html` into a fresh CatalogSink and projects the result.
+Result<std::string> ExtractGolden(const ExtractionContext& context,
+                                  const std::string& html) {
+  CatalogSink sink(context.instance_generator());
+  auto outcome = context.ExtractDocumentInto(html, sink);
+  if (!outcome.ok()) return outcome.status();
+  auto catalog = sink.TakeCatalog();
+  if (!catalog.ok()) return catalog.status();
+  return Golden(*outcome, *catalog);
 }
 
 TEST(TemplateCacheDeterminismTest, CacheOnMatchesCacheOffAtOneAndEightThreads) {
@@ -200,9 +213,9 @@ TEST(TemplateCacheDeterminismTest, CacheOnMatchesCacheOffAtOneAndEightThreads) {
   std::vector<std::string> reference;
   reference.reserve(corpus.pages.size());
   for (const std::string& html : corpus.pages) {
-    auto result = off_context->ExtractDocument(html);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    reference.push_back(Golden(*result));
+    auto golden = ExtractGolden(*off_context, html);
+    ASSERT_TRUE(golden.ok()) << golden.status().ToString();
+    reference.push_back(*golden);
   }
 
   for (int threads : {1, 8}) {
@@ -218,13 +231,16 @@ TEST(TemplateCacheDeterminismTest, CacheOnMatchesCacheOffAtOneAndEightThreads) {
     BatchRunOptions run;
     run.num_threads = threads;
     run.chunk_size = 4;
-    auto batch = on_context->ExtractCorpus(corpus.pages, run);
+    CatalogSink sink(on_context->instance_generator());
+    auto batch = on_context->ExtractCorpusInto(corpus.pages, sink, run);
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();
     ASSERT_EQ(batch->documents.size(), corpus.pages.size());
     for (size_t i = 0; i < corpus.pages.size(); ++i) {
       ASSERT_TRUE(batch->documents[i].ok())
           << batch->documents[i].status().ToString();
-      EXPECT_EQ(Golden(*batch->documents[i]), reference[i])
+      auto catalog = sink.TakeCatalog(static_cast<uint32_t>(i));
+      ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+      EXPECT_EQ(Golden(*batch->documents[i], *catalog), reference[i])
           << "threads=" << threads << " doc=" << i;
     }
     // The cache actually engaged: at least one lookup per page, and a hit
@@ -244,7 +260,7 @@ TEST(TemplateCacheDeterminismTest, CacheOnMatchesCacheOffAtOneAndEightThreads) {
 }
 
 TEST(TemplateCacheDeterminismTest, StandaloneDocumentsDefaultToNoCache) {
-  // kAuto: a lone ExtractDocument call must not touch the cache.
+  // kAuto: a lone ExtractDocumentInto call must not touch the cache.
   const Ontology ontology = BundledOntology(Domain::kObituaries).value();
   TemplateCache cache;
   ContextOptions options;
@@ -256,15 +272,16 @@ TEST(TemplateCacheDeterminismTest, StandaloneDocumentsDefaultToNoCache) {
   skew.num_templates = 1;
   skew.num_pages = 3;
   const auto corpus = gen::GenerateTemplateSkewCorpus(skew);
+  BufferSink sink;
   for (const std::string& html : corpus.pages) {
-    auto result = context->ExtractDocument(html);
+    auto result = context->ExtractDocumentInto(html, sink);
     ASSERT_TRUE(result.ok());
   }
   EXPECT_EQ(cache.hits() + cache.misses(), 0u);
   EXPECT_EQ(cache.size(), 0u);
 
-  // The same pages through ExtractCorpus do engage it.
-  auto batch = context->ExtractCorpus(corpus.pages, {});
+  // The same pages through ExtractCorpusInto do engage it.
+  auto batch = context->ExtractCorpusInto(corpus.pages, sink, {});
   ASSERT_TRUE(batch.ok());
   EXPECT_EQ(cache.hits() + cache.misses(), corpus.pages.size());
   EXPECT_EQ(cache.size(), 1u);
@@ -298,7 +315,8 @@ TEST(TemplateCacheDeterminismTest, ReloadGenerationInvalidatesMemoization) {
   options.reload_generation = 0;
   auto gen0 = ExtractionContext::Create(ontology, options);
   ASSERT_TRUE(gen0.ok()) << gen0.status().ToString();
-  auto warm = gen0->ExtractCorpus(corpus.pages, run);
+  CatalogSink warm_sink(gen0->instance_generator());
+  auto warm = gen0->ExtractCorpusInto(corpus.pages, warm_sink, run);
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   EXPECT_EQ(cache.misses(), templates);
   EXPECT_EQ(cache.hits(), pages - templates);
@@ -312,7 +330,8 @@ TEST(TemplateCacheDeterminismTest, ReloadGenerationInvalidatesMemoization) {
   // The same pages through the next generation: the first sighting of
   // each template must MISS (gen0's entries are unreachable under the new
   // salt); only gen1's own fresh entries may be hit.
-  auto reloaded = gen1->ExtractCorpus(corpus.pages, run);
+  CatalogSink reloaded_sink(gen1->instance_generator());
+  auto reloaded = gen1->ExtractCorpusInto(corpus.pages, reloaded_sink, run);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   EXPECT_EQ(cache.misses(), 2 * templates);
   EXPECT_EQ(cache.hits(), 2 * (pages - templates));
@@ -326,7 +345,13 @@ TEST(TemplateCacheDeterminismTest, ReloadGenerationInvalidatesMemoization) {
   for (size_t i = 0; i < warm->documents.size(); ++i) {
     ASSERT_TRUE(warm->documents[i].ok());
     ASSERT_TRUE(reloaded->documents[i].ok());
-    EXPECT_EQ(Golden(*warm->documents[i]), Golden(*reloaded->documents[i]))
+    auto warm_catalog = warm_sink.TakeCatalog(static_cast<uint32_t>(i));
+    auto reloaded_catalog =
+        reloaded_sink.TakeCatalog(static_cast<uint32_t>(i));
+    ASSERT_TRUE(warm_catalog.ok());
+    ASSERT_TRUE(reloaded_catalog.ok());
+    EXPECT_EQ(Golden(*warm->documents[i], *warm_catalog),
+              Golden(*reloaded->documents[i], *reloaded_catalog))
         << i;
   }
 }
@@ -346,7 +371,7 @@ TEST(TemplateCacheDeterminismTest, StaleArtifactFallsBackAndRecovers) {
   off_options.template_memoization = TemplateMemoization::kNever;
   auto off_context = ExtractionContext::Create(ontology, off_options);
   ASSERT_TRUE(off_context.ok());
-  auto uncached = off_context->ExtractDocument(corpus.pages[0]);
+  auto uncached = ExtractGolden(*off_context, corpus.pages[0]);
   ASSERT_TRUE(uncached.ok());
 
   TemplateCache cache;
@@ -368,17 +393,17 @@ TEST(TemplateCacheDeterminismTest, StaleArtifactFallsBackAndRecovers) {
   poison->separator_child_count = 10;
   cache.Put(fingerprint, poison);
 
-  auto result = on_context->ExtractDocument(corpus.pages[0]);
+  auto result = ExtractGolden(*on_context, corpus.pages[0]);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(Golden(*result), Golden(*uncached));
+  EXPECT_EQ(*result, *uncached);
   // The poisoned entry was found (a lookup hit) but failed re-validation.
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.fallbacks(), 1u);
 
   // The fallback repopulated the entry; the next page of the template
   // serves a genuine hit.
-  auto again = on_context->ExtractDocument(corpus.pages[1]);
-  ASSERT_TRUE(again.ok());
+  BufferSink sink;
+  ASSERT_TRUE(on_context->ExtractDocumentInto(corpus.pages[1], sink).ok());
   EXPECT_EQ(cache.hits(), 2u);
   EXPECT_EQ(cache.fallbacks(), 1u);
 }
@@ -433,8 +458,9 @@ TEST(StreamEquivalenceTest, StreamReapplyMatchesTreeReapply) {
   context_options.template_cache = &cache;
   auto context = ExtractionContext::Create(ontology, context_options);
   ASSERT_TRUE(context.ok());
+  BufferSink sink;
   for (const std::string& page : corpus.pages) {
-    ASSERT_TRUE(context->ExtractDocument(page).ok());
+    ASSERT_TRUE(context->ExtractDocumentInto(page, sink).ok());
   }
 
   const auto limits = robust::DocumentLimits::Production();

@@ -11,6 +11,7 @@
 #include <numeric>
 
 #include "extract/extraction_context.h"
+#include "extract/record_sink.h"
 #include "ontology/model.h"
 
 namespace webrbd {
@@ -67,7 +68,8 @@ TEST(TemplateSkewTest, PagesExtractCleanlyWithoutAnOntology) {
   context_options.template_memoization = TemplateMemoization::kNever;
   auto context = ExtractionContext::Create(kEmpty, context_options);
   ASSERT_TRUE(context.ok()) << context.status().ToString();
-  auto batch = context->ExtractCorpus(corpus.pages, {});
+  BufferSink sink;
+  auto batch = context->ExtractCorpusInto(corpus.pages, sink, {});
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   EXPECT_EQ(batch->stats.failed, 0u);
   for (size_t i = 0; i < batch->documents.size(); ++i) {

@@ -14,7 +14,8 @@
 #include <vector>
 
 #include "eval/figure2.h"
-#include "extract/batch_pipeline.h"
+#include "extract/extraction_context.h"
+#include "extract/record_sink.h"
 #include "gen/adversarial.h"
 #include "gen/sites.h"
 #include "obs/stages.h"
@@ -43,9 +44,21 @@ std::vector<std::string> MixedCorpus() {
   return corpus;
 }
 
-BatchOptions TightDepthOptions(int threads) {
-  BatchOptions options;
-  options.num_threads = threads;
+// Runs `corpus` on `threads` workers through a fresh context over
+// `ontology` into a BufferSink.
+Result<BatchOutcome> RunBatch(const std::vector<std::string>& corpus,
+                              const Ontology& ontology, int threads,
+                              const ContextOptions& options = {}) {
+  auto context = ExtractionContext::Create(ontology, options);
+  if (!context.ok()) return context.status();
+  BatchRunOptions run;
+  run.num_threads = threads;
+  BufferSink sink;
+  return context->ExtractCorpusInto(corpus, sink, run);
+}
+
+ContextOptions TightDepthOptions() {
+  ContextOptions options;
   // Benign pages nest ~10 deep; the 200-deep bomb trips this cap.
   options.discovery.limits = robust::DocumentLimits::Production();
   options.discovery.limits.max_tree_depth = 64;
@@ -62,8 +75,8 @@ TEST(RobustBatchDegradationTest, AdversarialDocsFailAloneAtAnyThreadCount) {
   const std::vector<std::string> corpus = MixedCorpus();
   const uint64_t depth_trips_before = obs::Robust().trip_depth->count();
 
-  auto serial = RunBatchPipeline(corpus, ontology, TightDepthOptions(1));
-  auto parallel = RunBatchPipeline(corpus, ontology, TightDepthOptions(8));
+  auto serial = RunBatch(corpus, ontology, 1, TightDepthOptions());
+  auto parallel = RunBatch(corpus, ontology, 8, TightDepthOptions());
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
   ASSERT_EQ(serial->documents.size(), kCorpusSize);
@@ -123,9 +136,8 @@ TEST(RobustBatchDegradationTest, BenignCorpusTripsNothingUnderDefaults) {
   const uint64_t fatal_before = obs::Robust().FatalTripTotal();
   const uint64_t recoveries_before = obs::Robust().lexer_recoveries->count();
 
-  BatchOptions options;
-  options.num_threads = 4;  // limits left at production defaults
-  auto batch = RunBatchPipeline(corpus, ontology, options);
+  // Limits left at production defaults.
+  auto batch = RunBatch(corpus, ontology, 4);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   EXPECT_EQ(batch->stats.failed, 0u);
   EXPECT_EQ(batch->stats.succeeded, corpus.size());
@@ -140,9 +152,7 @@ TEST(RobustBatchDegradationTest, EveryShapeSurvivesTheBatchPipeline) {
   const std::vector<std::string> corpus =
       gen::AdversarialCorpus(gen::AllAdversarialShapes().size());
 
-  BatchOptions options;
-  options.num_threads = 2;
-  auto batch = RunBatchPipeline(corpus, ontology, options);
+  auto batch = RunBatch(corpus, ontology, 2);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   ASSERT_EQ(batch->documents.size(), corpus.size());
 

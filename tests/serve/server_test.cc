@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "extract/extraction_context.h"
+#include "extract/record_sink.h"
 #include "gen/sites.h"
 #include "ontology/bundled.h"
 #include "serve/service.h"
@@ -246,9 +247,13 @@ TEST(HttpServerTest, FullDaemonLifecycleUnderConcurrentTraffic) {
   const Ontology ontology = BundledOntology(Domain::kObituaries).value();
   auto context = ExtractionContext::Create(ontology);
   ASSERT_TRUE(context.ok());
-  auto golden_result = context->ExtractDocument(html);
+  CatalogSink sink(context->instance_generator());
+  auto golden_result = context->ExtractDocumentInto(html, sink);
   ASSERT_TRUE(golden_result.ok());
-  const std::string golden = RenderExtractionJson(*golden_result);
+  auto golden_catalog = sink.TakeCatalog();
+  ASSERT_TRUE(golden_catalog.ok());
+  const std::string golden =
+      RenderExtractionJson(*golden_result, *golden_catalog);
 
   std::string escaped;
   for (char c : html) {

@@ -4,7 +4,8 @@
 // admission control (503 + Retry-After), per-request limit overrides and
 // their ceilings, NDJSON batch semantics, hot reload (generation bump,
 // template-salt change, bad-DSL rollback), and the byte-identity contract
-// between a served /extract response and an in-process ExtractDocument.
+// between a served /extract response and an in-process
+// ExtractDocumentInto.
 
 #include "serve/service.h"
 
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "extract/extraction_context.h"
+#include "extract/record_sink.h"
 #include "gen/sites.h"
 #include "ontology/bundled.h"
 #include "serve/http.h"
@@ -113,9 +115,12 @@ TEST(ExtractionServiceTest, ServedBytesMatchInProcessExtraction) {
       BundledOntology(Domain::kObituaries).value();
   auto context = ExtractionContext::Create(ontology);
   ASSERT_TRUE(context.ok()) << context.status().ToString();
-  auto result = context->ExtractDocument(html);
+  CatalogSink sink(context->instance_generator());
+  auto result = context->ExtractDocumentInto(html, sink);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(response.body, RenderExtractionJson(*result));
+  auto catalog = sink.TakeCatalog();
+  ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+  EXPECT_EQ(response.body, RenderExtractionJson(*result, *catalog));
 }
 
 TEST(ExtractionServiceTest, EmptyExtractBodyIs400) {

@@ -409,60 +409,6 @@ TEST(LintRuleTest, TagNodeRecursionOutsideLibraryDoesNotTrigger) {
   EXPECT_FALSE(Triggered(findings, "tagnode-recursion"));
 }
 
-TEST(LintRuleTest, DeprecatedPipelineCallInLibraryTriggers) {
-  const std::string source =
-      std::string(kLicense) +
-      "Status Run(const Ontology& ontology, std::string_view html) {\n"
-      "  auto result = RunIntegratedPipeline(html, ontology);\n"
-      "  return result.status();\n"
-      "}\n";
-  auto findings = LintFixture({"src/eval/driver.cc", source});
-  EXPECT_TRUE(Triggered(findings, "deprecated-pipeline-entry"));
-}
-
-TEST(LintRuleTest, DeprecatedBatchCallInToolsTriggers) {
-  const std::string source =
-      std::string(kLicense) +
-      "int Main(const std::vector<std::string>& corpus) {\n"
-      "  auto batch = RunBatchPipeline(corpus, ontology);\n"
-      "  return batch.ok() ? 0 : 1;\n"
-      "}\n";
-  auto findings = LintFixture({"tools/some_tool.cc", source});
-  EXPECT_TRUE(Triggered(findings, "deprecated-pipeline-entry"));
-}
-
-TEST(LintRuleTest, DeprecatedPipelineCallInTestsDoesNotTrigger) {
-  const std::string source =
-      std::string(kLicense) +
-      "TEST(X, Y) { EXPECT_TRUE(RunIntegratedPipeline(html, o).ok()); }\n";
-  auto findings = LintFixture({"tests/extract/golden_test.cc", source});
-  EXPECT_FALSE(Triggered(findings, "deprecated-pipeline-entry"));
-}
-
-TEST(LintRuleTest, ShimFilesAreExemptFromDeprecatedPipelineRule) {
-  const std::string source =
-      std::string(kLicense) +
-      "Result<IntegratedResult> RunIntegratedPipeline(std::string_view html,\n"
-      "                                               const Ontology& o) {\n"
-      "  return ExtractionContext::Create(o)->ExtractDocument(html);\n"
-      "}\n";
-  auto findings =
-      LintFixture({"src/extract/integrated_pipeline.cc", source});
-  EXPECT_FALSE(Triggered(findings, "deprecated-pipeline-entry"));
-}
-
-TEST(LintRuleTest, SimilarIdentifierDoesNotTriggerDeprecatedPipelineRule) {
-  const std::string source =
-      std::string(kLicense) +
-      "void F() {\n"
-      "  MyRunBatchPipeline(corpus);\n"   // prefixed identifier
-      "  int RunBatchPipelineCount = 0;\n"  // no call parenthesis
-      "  (void)RunBatchPipelineCount;\n"
-      "}\n";
-  auto findings = LintFixture({"src/x/f.cc", source});
-  EXPECT_FALSE(Triggered(findings, "deprecated-pipeline-entry"));
-}
-
 // ------------------------------------------------- suppressions and allows
 
 TEST(SuppressionTest, FileSuppressionsFilterFindings) {

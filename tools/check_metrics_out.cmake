@@ -42,7 +42,10 @@ set(DOCUMENTED_METRICS
     webrbd_robust_limit_trips_attrs_total
     webrbd_robust_limit_trips_attr_value_total
     webrbd_robust_limit_trips_regex_closure_total
+    webrbd_robust_limit_trips_arena_bytes_total
     webrbd_robust_lexer_recoveries_total
+    webrbd_html_arena_bytes
+    webrbd_html_intern_table_size
     webrbd_html_lexer_bytes_total
     webrbd_html_lexer_tokens_total
     webrbd_html_lexer_name_spills_total

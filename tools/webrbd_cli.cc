@@ -662,8 +662,7 @@ int RunBatch(const CliOptions& cli) {
   run.num_threads = cli.threads;
   run.chunk_size = static_cast<size_t>(cli.chunk_size);
   // Materialize catalogs through the sink so a document whose records fail
-  // to populate still counts as failed, matching the historic behavior of
-  // the Catalog-returning batch entry point.
+  // to populate still counts as failed.
   CatalogSink sink(context->instance_generator());
   auto batch = context->ExtractCorpusInto(corpus, sink, run);
   if (!batch.ok()) {
